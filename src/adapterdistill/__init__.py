@@ -3,7 +3,7 @@
 from .adapter import (AdapterWeights, adapter_forward, added_params_fraction,
                       backbone_param_count, init_adapter)
 from .artifacts import load_adapter, load_head, save_adapter, save_head
-from .backbone import Backbone, BackboneConfig, HeadWeights, classify, tokenize, tokenize_pair
+from .backbone import Backbone, BackboneConfig, HeadWeights, tokenize_pair
 from .bench import cost_report, inference_flops
 from .faq_data import (KnowledgeBase, KnowledgePoint, LabeledPairs, bm25_score,
                        build_dataset, build_negatives, build_positives,

@@ -23,7 +23,8 @@ from .bench import cost_report, inference_flops
 from .errors import IntegrityError
 from .faq_data import (bm25_score, build_dataset, corpus_stats,
                        make_synthetic_tenants, text_tokens)
-from .fusion import distill_loss, fusion_attend, init_fusion, make_teacher_set
+from .fusion import (combined_loss, distill_loss, fusion_attend, init_fusion,
+                     make_teacher_set)
 from .metrics import auc as rank_auc
 from .platform import Platform, StorageModel, capacity_table
 from .tensor import Tensor, grad_check
@@ -181,11 +182,11 @@ def _stage2_setup(seq_len=8, n_teachers=3, seed=0):
 
 def c03_gradient_correctness(tolerance: float = 1e-4) -> CriterionResult:
     t0 = time.time()
-    from .fusion import combined_loss
     bb, student, head, teachers, omega, batch = _stage2_setup()
 
     def f():
-        return combined_loss(batch, bb, student, head, teachers, omega, eta=1.0)
+        loss, _, _ = combined_loss(batch, bb, student, head, teachers, omega, eta=1.0)
+        return loss
 
     params = student.params() + omega.params() + head.params()
     err = grad_check(f, params, step=1e-5)

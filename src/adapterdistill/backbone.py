@@ -2,28 +2,27 @@
 
 The encoder stands in for a real pretrained checkpoint: weights are drawn
 from a seeded RNG once, then frozen.  Text goes through a deterministic
-hashing tokenizer.  `encode_pair` exposes the post-feed-forward hidden
-state of every layer, which is where per-tenant adapters plug in.
+hashing tokenizer.  `Backbone.forward` hands the post-feed-forward hidden
+state of every layer to an adapter hook, which is where per-tenant adapters
+plug in.
 """
 
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigurationError, DimensionError
+from .faq_data import text_tokens
 from .tensor import Tensor
 
 CLS_ID = 0
 PAD_ID = 1
 SEP_ID = 2
 NUM_RESERVED = 3
-
-_TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 
 
 @dataclass(frozen=True)
@@ -67,34 +66,26 @@ def hash_token(token: str, vocab_size: int) -> int:
     return NUM_RESERVED + bucket
 
 
-def tokenize(text: str, max_len: int, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowercase, split on non-word characters, hash into the vocabulary.
-
-    Prepends the classifier token and pads/truncates to max_len.  Returns
-    (ids, mask) with mask 1 on real tokens and 0 on padding.
-    """
-    pieces = _TOKEN_RE.findall(text.lower())
-    ids = [CLS_ID] + [hash_token(p, vocab_size) for p in pieces]
-    ids = ids[:max_len]
-    mask = [1] * len(ids)
-    while len(ids) < max_len:
-        ids.append(PAD_ID)
-        mask.append(0)
-    return np.array(ids, dtype=np.int64), np.array(mask, dtype=np.float64)
-
-
 def tokenize_pair(query: str, candidate: str, max_len: int, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Joint "classifier + query + separator + candidate" encoding."""
-    q = _TOKEN_RE.findall(query.lower())
-    c = _TOKEN_RE.findall(candidate.lower())
-    ids = ([CLS_ID] + [hash_token(t, vocab_size) for t in q]
-           + [SEP_ID] + [hash_token(t, vocab_size) for t in c])
-    ids = ids[:max_len]
-    mask = [1] * len(ids)
-    while len(ids) < max_len:
-        ids.append(PAD_ID)
-        mask.append(0)
-    return np.array(ids, dtype=np.int64), np.array(mask, dtype=np.float64)
+    """Joint "classifier + query + separator + candidate" encoding.
+
+    Text is lowercased, split on non-word characters and hashed into the
+    vocabulary; the ids are padded to max_len.  Returns (ids, mask) with
+    mask 1 on real tokens and 0 on padding.  A pair longer than max_len
+    keeps both separator tokens: the query and the candidate each keep at
+    least half of the remaining budget, or all of their tokens if fewer.
+    """
+    if max_len < 2:
+        raise ConfigurationError(f"max_len must be >= 2, got {max_len}")
+    q, c = text_tokens(query), text_tokens(candidate)
+    budget = max_len - 2
+    n_q = min(len(q), max(budget // 2, budget - len(c)))
+    n_c = min(len(c), budget - n_q)
+    ids = ([CLS_ID] + [hash_token(t, vocab_size) for t in q[:n_q]]
+           + [SEP_ID] + [hash_token(t, vocab_size) for t in c[:n_c]])
+    n = len(ids)
+    return (np.array(ids + [PAD_ID] * (max_len - n), dtype=np.int64),
+            np.array([1.0] * n + [0.0] * (max_len - n)))
 
 
 @dataclass
@@ -232,22 +223,6 @@ class Backbone:
         pooled = T.tanh(T.matmul(first, self.pool_w) + self.pool_b)
         return per_layer_h, pooled
 
-    def encode_pair(self, query: str, candidate: str, adapter_hook=None):
-        cfg = self.config
-        ids, mask = tokenize_pair(query, candidate, cfg.max_seq_len, cfg.vocab_size)
-        return self.forward(ids, mask, adapter_hook)
-
-
-def classify(pooled: Tensor, head: HeadWeights) -> Tensor:
-    """Probability of a positive match (sigmoid of an affine map)."""
-    d = pooled.data.shape[-1]
-    if head.w.data.shape[0] != d:
-        raise DimensionError(
-            f"head dimension {head.w.data.shape} does not match pooled dim {d}"
-        )
-    logit = T.matmul(pooled, head.w) + head.b
-    return T.sigmoid(logit)
-
 
 def classify_logit(pooled: Tensor, head: HeadWeights) -> Tensor:
     d = pooled.data.shape[-1]
@@ -256,11 +231,6 @@ def classify_logit(pooled: Tensor, head: HeadWeights) -> Tensor:
             f"head dimension {head.w.data.shape} does not match pooled dim {d}"
         )
     return T.matmul(pooled, head.w) + head.b
-
-
-def predict_label(probability: float, threshold: float = 0.5) -> int:
-    """Decision rule: probability at or above the threshold is positive."""
-    return 1 if probability >= threshold else 0
 
 
 def new_head(dim: int, rng: np.random.Generator) -> HeadWeights:

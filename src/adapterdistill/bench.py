@@ -85,16 +85,11 @@ class CostReport:
         raise UsageError(f"no result for {mode} @ batch {batch_size}")
 
 
-def _bench_one(run, batch_size: int, repetitions: int) -> tuple[float, float]:
-    times = []
-    for _ in range(repetitions):
-        t0 = time.perf_counter()
-        for _ in range(batch_size):
-            run()
-        times.append((time.perf_counter() - t0) * 1000.0)
-    med = statistics.median(times)
-    q = statistics.quantiles(times, n=4)
-    return med, q[2] - q[0]
+def _time_batch(run, batch_size: int) -> float:
+    t0 = time.perf_counter()
+    for _ in range(batch_size):
+        run()
+    return (time.perf_counter() - t0) * 1000.0
 
 
 def cost_report(config: BackboneConfig, batch_sizes: list[int],
@@ -143,14 +138,24 @@ def cost_report(config: BackboneConfig, batch_sizes: list[int],
                "adapter_distill": (run_adapter, fd),
                "adapter_fusion": (run_fusion, ff)}
 
-    report = CostReport(config=config, seq_len=T, n_members=n_members)
+    # Every repetition times each mode once, so drift in machine speed hits
+    # all modes alike; the order flips each repetition so that no mode
+    # always runs right after the same neighbour.
+    times: dict[tuple[str, int], list[float]] = {(m, bs): [] for m in modes for bs in batch_sizes}
     with no_grad():
         for mode in modes:
-            run, flops = runners[mode]
-            run()  # warm up
-            for bs in batch_sizes:
-                med, iqr = _bench_one(run, bs, repetitions)
-                report.results.append(LatencyResult(mode, bs, med, iqr, flops))
+            runners[mode][0]()  # warm up
+        for bs in batch_sizes:
+            for rep in range(repetitions):
+                for mode in (modes if rep % 2 == 0 else modes[::-1]):
+                    times[mode, bs].append(_time_batch(runners[mode][0], bs))
+    report = CostReport(config=config, seq_len=T, n_members=n_members)
+    for mode in modes:
+        for bs in batch_sizes:
+            t = times[mode, bs]
+            q = statistics.quantiles(t, n=4)
+            report.results.append(LatencyResult(mode, bs, statistics.median(t), q[2] - q[0],
+                                                runners[mode][1]))
     return report
 
 

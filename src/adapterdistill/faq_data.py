@@ -291,9 +291,3 @@ def make_synthetic_tenants(num_tenants: int, points_per_tenant: int,
             points.append(KnowledgePoint(f"t{t}p{j}", questions[0], questions[1:]))
         out.append(KnowledgeBase(f"tenant{t}", points))
     return out
-
-
-def make_default_suite(seed: int = 0) -> list[KnowledgeBase]:
-    """9 teacher tenants plus one student whose built dataset lands in the
-    1000..5000 example range."""
-    return make_synthetic_tenants(10, 90, 0.5, seed)

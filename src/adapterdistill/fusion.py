@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .adapter import AdapterWeights, STAGE_FINAL, STAGE_FIRST, adapter_forward
-from .backbone import Backbone
+from .backbone import Backbone, classify_logit
 from .errors import ConfigurationError, UsageError
 from .tensor import Tensor
 
@@ -110,13 +110,9 @@ def fusion_attend(h: Tensor, teacher_outputs: list[Tensor],
 
 
 def distill_loss(o_per_layer: list[Tensor], z_per_layer: list[Tensor],
-                 mask: np.ndarray, reduction: str = "mean_square") -> Tensor:
-    """Distance between fused teacher output and student output.
-
-    mean_square: mean over layers, unmasked tokens, and hidden dims of the
-    squared difference.  l2: mean over layers of the Frobenius norm over
-    unmasked positions.
-    """
+                 mask: np.ndarray) -> Tensor:
+    """Mean over layers, unmasked tokens, and hidden dims of the squared
+    difference between fused teacher output and student output."""
     mask = np.asarray(mask, dtype=np.float64)
     n_tok = float(mask.sum())
     if n_tok == 0:
@@ -128,21 +124,36 @@ def distill_loss(o_per_layer: list[Tensor], z_per_layer: list[Tensor],
     for o, z in zip(o_per_layer, z_per_layer):
         diff = o - z
         sq = T.tsum(T.mul(T.mul(diff, diff), mask_col))
-        if reduction == "l2":
-            sq = T.sqrt(sq)
         total = sq if total is None else total + sq
-    L = len(o_per_layer)
-    if reduction == "mean_square":
-        d = o_per_layer[0].data.shape[1]
-        return total * (1.0 / (L * n_tok * d))
-    if reduction == "l2":
-        return total * (1.0 / L)
-    raise ConfigurationError(f"unknown reduction {reduction!r}")
+    d = o_per_layer[0].data.shape[1]
+    return total * (1.0 / (len(o_per_layer) * n_tok * d))
+
+
+def make_adapter_hook(adapter: AdapterWeights | None = None,
+                      omega: FusionWeights | None = None,
+                      members: list[AdapterWeights] | None = None):
+    """The `adapter_hook` for `Backbone.forward` on one serving path.
+
+    Fusion when omega is given (attention over the member adapters'
+    outputs), else the single adapter, else None (the bare encoder).
+    """
+    if omega is not None:
+        if not members:
+            raise UsageError("fusion path needs member adapters")
+
+        def fused(li: int, h: Tensor) -> Tensor:
+            o, _ = fusion_attend(h, [adapter_forward(h, a, li) for a in members],
+                                 omega.layers[li])
+            return o
+        return fused
+    if adapter is not None:
+        return lambda li, h: adapter_forward(h, adapter, li)
+    return None
 
 
 def distill_example_forward(bb: Backbone, ids: np.ndarray, mask: np.ndarray,
                             student: AdapterWeights, teachers: TeacherSet,
-                            omega: FusionWeights, stop_grad_o: bool = False):
+                            omega: FusionWeights):
     """One stage-2 forward pass.
 
     The main (inference) path runs the student adapter; teacher outputs and
@@ -157,8 +168,6 @@ def distill_example_forward(bb: Backbone, ids: np.ndarray, mask: np.ndarray,
         z_student = adapter_forward(h, student, li)
         zs = [adapter_forward(h, t, li) for t in teachers.adapters]
         o, p = fusion_attend(h, zs, omega.layers[li])
-        if stop_grad_o:
-            o = o.detach()
         o_list.append(o)
         z_list.append(z_student)
         p_list.append(p)
@@ -169,38 +178,39 @@ def distill_example_forward(bb: Backbone, ids: np.ndarray, mask: np.ndarray,
 
 
 def combined_loss(batch, bb: Backbone, student: AdapterWeights, head,
-                  teachers: TeacherSet, omega: FusionWeights, eta: float,
-                  reduction: str = "mean_square", stop_grad_o: bool = False) -> Tensor:
-    """Mean cross-entropy on the student path plus eta times the mean
-    distillation loss over the batch.
+                  teachers: TeacherSet, omega: FusionWeights,
+                  eta: float) -> tuple[Tensor, float, float]:
+    """The stage-2 objective: mean cross-entropy on the student path plus
+    eta times the mean distillation loss over the batch.
 
-    batch: iterable of (ids, mask, label).  With eta == 0 the distillation
-    term is skipped entirely, so the loss equals the stage-1 objective and
-    the fusion weights receive no gradient.
+    batch: iterable of (ids, mask, label).  One forward pass per example
+    gives both the logit and the distillation terms.  With eta == 0 the
+    distillation term is skipped entirely, so the loss equals the stage-1
+    objective and the fusion weights receive no gradient.  Returns
+    (loss, mean cross-entropy, mean distillation loss) with the two parts
+    as floats.
     """
-    from .backbone import classify_logit
-
     if eta < 0:
         raise ConfigurationError(f"eta must be nonnegative, got {eta}")
+    hook = make_adapter_hook(student)
     ce_total = None
     distill_total = None
     n = 0
     for ids, mask, label in batch:
         if eta == 0:
-            def hook(li, h):
-                return adapter_forward(h, student, li)
             _, pooled = bb.forward(ids, mask, adapter_hook=hook)
         else:
             pooled, o_list, z_list, _ = distill_example_forward(
-                bb, ids, mask, student, teachers, omega, stop_grad_o=stop_grad_o)
-            dl = distill_loss(o_list, z_list, mask, reduction=reduction)
+                bb, ids, mask, student, teachers, omega)
+            dl = distill_loss(o_list, z_list, mask)
             distill_total = dl if distill_total is None else distill_total + dl
         ce = T.bce_with_logits(classify_logit(pooled, head), float(label))
         ce_total = ce if ce_total is None else ce_total + ce
         n += 1
     if n == 0:
         raise UsageError("combined_loss: empty batch")
-    loss = ce_total * (1.0 / n)
-    if eta != 0:
-        loss = loss + (distill_total * (eta / n))
-    return loss
+    ce_mean = ce_total * (1.0 / n)
+    if eta == 0:
+        return ce_mean, ce_mean.item(), 0.0
+    distill_mean = distill_total * (1.0 / n)
+    return ce_mean + distill_mean * eta, ce_mean.item(), distill_mean.item()

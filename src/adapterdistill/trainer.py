@@ -18,12 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .adapter import AdapterWeights, adapter_forward, init_adapter
+from .adapter import AdapterWeights, init_adapter
 from .backbone import Backbone, HeadWeights, classify_logit, new_head, tokenize_pair
 from .errors import ConfigurationError, UsageError
 from .faq_data import Example
-from .fusion import (FusionWeights, TeacherSet, combined_loss, fusion_attend,
-                     init_fusion, make_teacher_set)
+from .fusion import (FusionWeights, TeacherSet, combined_loss, init_fusion,
+                     make_adapter_hook, make_teacher_set)
 from .metrics import accuracy as _accuracy, auc as _auc
 from .tensor import Tensor, no_grad
 
@@ -44,8 +44,6 @@ class TrainConfig:
     mode: str = "adapter_distill"
     bottleneck_dim: int = 8
     include_self: bool = True
-    distill_reduction: str = "mean_square"
-    stop_grad_o: bool = False
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -126,17 +124,44 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _ce_loss(batch, bb: Backbone, head: HeadWeights, adapter: AdapterWeights | None):
-    total = None
-    for ids, mask, label in batch:
-        if adapter is None:
-            _, pooled = bb.forward(ids, mask)
-        else:
-            _, pooled = bb.forward(ids, mask,
-                                   adapter_hook=lambda li, h: adapter_forward(h, adapter, li))
-        ce = T.bce_with_logits(classify_logit(pooled, head), float(label))
-        total = ce if total is None else total + ce
-    return total * (1.0 / len(batch))
+def _fit(encoded, loss_fn, groups: list[tuple[Tensor, bool]], config: TrainConfig,
+         rng: np.random.Generator) -> list[dict]:
+    """The training loop every mode runs: shuffled minibatches, one backward
+    pass and one SGD step per batch, warmup-then-linear-decay learning rate.
+
+    loss_fn(batch) returns (loss, ce, distill); the two float parts are
+    averaged per epoch into the history.
+    """
+    total_steps = config.epochs * math.ceil(len(encoded) / config.batch_size)
+    history, step = [], 0
+    for epoch in range(config.epochs):
+        ce_sum = dl_sum = 0.0
+        for idx in _epoch_batches(len(encoded), config.batch_size, rng):
+            batch = [encoded[i] for i in idx]
+            for p, _ in groups:
+                p.zero_grad()
+            loss, ce, dl = loss_fn(batch)
+            T.backward(loss)
+            _sgd_step(groups, _lr_at(step, total_steps, config), config.weight_decay)
+            ce_sum += ce * len(batch)
+            dl_sum += dl * len(batch)
+            step += 1
+        history.append({"epoch": epoch, "ce_loss": ce_sum / len(encoded),
+                        "distill_loss": dl_sum / len(encoded)})
+    return history
+
+
+def _ce_loss(bb: Backbone, head: HeadWeights, hook):
+    """Mean binary cross-entropy over a batch, as a loss_fn for `_fit`."""
+    def loss_fn(batch):
+        total = None
+        for ids, mask, label in batch:
+            _, pooled = bb.forward(ids, mask, adapter_hook=hook)
+            ce = T.bce_with_logits(classify_logit(pooled, head), float(label))
+            total = ce if total is None else total + ce
+        loss = total * (1.0 / len(batch))
+        return loss, loss.item(), 0.0
+    return loss_fn
 
 
 # ---------------------------------------------------------------------------
@@ -152,30 +177,10 @@ def train_stage1(train_examples: list[Example], bb: Backbone, config: TrainConfi
     rng = np.random.default_rng(config.seed)
     adapter = init_adapter("", bb.config, config.bottleneck_dim, seed=config.seed)
     head = new_head(bb.config.hidden_dim, rng)
-    encoded = encode_examples(train_examples, bb.config)
-    groups = _param_groups(adapter, head)
-    history = _run_ce_training(encoded, bb, head, adapter, groups, config, rng)
+    history = _fit(encode_examples(train_examples, bb.config),
+                   _ce_loss(bb, head, make_adapter_hook(adapter)),
+                   _param_groups(adapter, head), config, rng)
     return adapter, head, history
-
-
-def _run_ce_training(encoded, bb, head, adapter, groups, config, rng):
-    n_batches = math.ceil(len(encoded) / config.batch_size)
-    total_steps = config.epochs * n_batches
-    history, step = [], 0
-    for epoch in range(config.epochs):
-        epoch_loss = 0.0
-        for idx in _epoch_batches(len(encoded), config.batch_size, rng):
-            batch = [encoded[i] for i in idx]
-            for p, _ in groups:
-                p.zero_grad()
-            loss = _ce_loss(batch, bb, head, adapter)
-            T.backward(loss)
-            _sgd_step(groups, _lr_at(step, total_steps, config), config.weight_decay)
-            epoch_loss += loss.item() * len(batch)
-            step += 1
-        history.append({"epoch": epoch, "ce_loss": epoch_loss / len(encoded),
-                        "distill_loss": 0.0})
-    return history
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +190,8 @@ def train_stage2(train_examples: list[Example], bb: Backbone,
                  student_first: AdapterWeights, teachers: TeacherSet,
                  config: TrainConfig, eta: float, head: HeadWeights):
     """Joint optimization of the student adapter and fusion weights under
-    cross-entropy + eta * distillation.  Teachers stay frozen; the fusion
-    weights are discarded by the caller after training.
+    `fusion.combined_loss` (cross-entropy + eta * distillation).  Teachers
+    stay frozen; the fusion weights are discarded after training.
 
     Returns (final adapter, head, per-epoch history).
     """
@@ -201,52 +206,12 @@ def train_stage2(train_examples: list[Example], bb: Backbone,
     head = head.copy()
     omega = init_fusion(bb.config.hidden_dim, bb.config.num_layers, seed=config.seed)
     effective_eta = eta if len(teachers) > 0 else 0.0
-    encoded = encode_examples(train_examples, bb.config)
-    groups = _param_groups(student, head, omega=omega)
-
-    n_batches = math.ceil(len(encoded) / config.batch_size)
-    total_steps = config.epochs * n_batches
-    history, step = [], 0
-    for epoch in range(config.epochs):
-        ce_sum = dl_sum = 0.0
-        for idx in _epoch_batches(len(encoded), config.batch_size, rng):
-            batch = [encoded[i] for i in idx]
-            for p, _ in groups:
-                p.zero_grad()
-            ce = _ce_loss(batch, bb, head, student)
-            if effective_eta > 0:
-                dl = _batch_distill(batch, bb, student, teachers, omega, config)
-                loss = ce + dl * effective_eta
-                dl_sum += dl.item() * len(batch)
-            else:
-                loss = ce
-            T.backward(loss)
-            _sgd_step(groups, _lr_at(step, total_steps, config), config.weight_decay)
-            ce_sum += ce.item() * len(batch)
-            step += 1
-        history.append({"epoch": epoch, "ce_loss": ce_sum / len(encoded),
-                        "distill_loss": dl_sum / len(encoded)})
+    history = _fit(encode_examples(train_examples, bb.config),
+                   lambda batch: combined_loss(batch, bb, student, head, teachers,
+                                               omega, effective_eta),
+                   _param_groups(student, head, omega=omega), config, rng)
     student.promote()
     return student, head, history
-
-
-def _batch_distill(batch, bb, student, teachers, omega, config):
-    from .fusion import distill_example_forward, distill_loss
-    total = None
-    for ids, mask, _ in batch:
-        _, o_list, z_list, _ = distill_example_forward(
-            bb, ids, mask, student, teachers, omega, stop_grad_o=config.stop_grad_o)
-        dl = distill_loss(o_list, z_list, mask, reduction=config.distill_reduction)
-        total = dl if total is None else total + dl
-    return total * (1.0 / len(batch))
-
-
-# Inefficient but faithful single-call form of the stage-2 objective; the
-# training loop above computes the same quantity batch by batch.
-def stage2_loss(batch, bb, student, head, teachers, omega, eta, config: TrainConfig | None = None):
-    cfg = config or TrainConfig()
-    return combined_loss(batch, bb, student, head, teachers, omega, eta,
-                         reduction=cfg.distill_reduction, stop_grad_o=cfg.stop_grad_o)
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +221,19 @@ def select_eta(train_examples, val_examples, bb, student_first, teachers,
                config: TrainConfig, grid: list[float] | None = None,
                head: HeadWeights | None = None):
     """Train stage 2 once per grid point (same seed) and pick the eta with
-    the best validation accuracy; ties go to larger AUC, then smaller eta."""
+    the best validation accuracy; ties go to larger AUC, then smaller eta.
+
+    Returns (eta, trials, winner), where trials holds (eta, accuracy, auc)
+    per grid point and winner is the chosen trial's train_stage2 result
+    (adapter, head, history).  A one-point grid trains nothing: winner is
+    None.
+    """
     if grid is None:
         grid = config.eta if isinstance(config.eta, list) else [config.eta]
     if not grid:
         raise ConfigurationError("empty eta grid")
     if len(grid) == 1:
-        return grid[0], []
+        return grid[0], [], None
     if not val_examples:
         raise UsageError("select_eta: empty validation split")
     if head is None:
@@ -270,16 +241,17 @@ def select_eta(train_examples, val_examples, bb, student_first, teachers,
     best = None
     trials = []
     for eta in grid:
-        adapter, head2, _ = train_stage2(train_examples, bb, student_first, teachers,
-                                         config, eta, head=head)
+        trained = train_stage2(train_examples, bb, student_first, teachers,
+                               config, eta, head=head)
+        adapter, head2, _ = trained
         report = evaluate_predictions(
             predict_many(bb, val_examples, head=head2, adapter=adapter),
             [e.label for e in val_examples])
         trials.append((eta, report.accuracy, report.auc))
         key = (report.accuracy, report.auc if report.auc is not None else -1.0, -eta)
         if best is None or key > best[0]:
-            best = (key, eta)
-    return best[1], trials
+            best = (key, eta, trained)
+    return best[1], trials, best[2]
 
 
 # ---------------------------------------------------------------------------
@@ -291,21 +263,8 @@ def predict_prob(bb: Backbone, ids, mask, head: HeadWeights,
                  fusion_members: list[AdapterWeights] | None = None) -> float:
     """Single forward pass; returns the positive-match probability."""
     with no_grad():
-        if omega is not None:
-            if not fusion_members:
-                raise UsageError("fusion inference needs member adapters")
-
-            def hook(li, h):
-                zs = [adapter_forward(h, a, li) for a in fusion_members]
-                o, _ = fusion_attend(h, zs, omega.layers[li])
-                return o
-
-            _, pooled = bb.forward(ids, mask, adapter_hook=hook)
-        elif adapter is not None:
-            _, pooled = bb.forward(ids, mask,
-                                   adapter_hook=lambda li, h: adapter_forward(h, adapter, li))
-        else:
-            _, pooled = bb.forward(ids, mask)
+        _, pooled = bb.forward(ids, mask,
+                               adapter_hook=make_adapter_hook(adapter, omega, fusion_members))
         logit = classify_logit(pooled, head)
         return float(1.0 / (1.0 + np.exp(-logit.item())))
 
@@ -358,18 +317,17 @@ def train_baseline(mode: str, train_examples, bb: Backbone, config: TrainConfig,
         adapter, head, history = train_stage1(train_examples, bb, config)
         adapter.set_trainable(False)
         return TrainedArtifact("adapter", adapter, head, history=history)
+    encoded = encode_examples(train_examples, bb.config)
     if mode == "head":
         head = new_head(bb.config.hidden_dim, rng)
-        encoded = encode_examples(train_examples, bb.config)
-        history = _run_ce_training(encoded, bb, head, None, _param_groups(None, head),
-                                  config, rng)
+        history = _fit(encoded, _ce_loss(bb, head, None), _param_groups(None, head),
+                       config, rng)
         return TrainedArtifact("head", None, head, history=history)
     if mode == "full":
         private = bb.unfrozen_copy()
         head = new_head(bb.config.hidden_dim, rng)
-        encoded = encode_examples(train_examples, bb.config)
-        groups = _param_groups(None, head, backbone=private)
-        history = _run_ce_training(encoded, private, head, None, groups, config, rng)
+        history = _fit(encoded, _ce_loss(private, head, None),
+                       _param_groups(None, head, backbone=private), config, rng)
         for p in private.params():
             p.requires_grad = False
             p.grad = None
@@ -385,33 +343,9 @@ def train_baseline(mode: str, train_examples, bb: Backbone, config: TrainConfig,
         a.set_trainable(False)
     omega = init_fusion(bb.config.hidden_dim, bb.config.num_layers, seed=config.seed)
     head2 = head.copy()
-    encoded = encode_examples(train_examples, bb.config)
-    groups = _param_groups(None, head2, omega=omega)
-    n_batches = math.ceil(len(encoded) / config.batch_size)
-    total_steps = config.epochs * n_batches
-    history2, step = [], 0
-    for epoch in range(config.epochs):
-        epoch_loss = 0.0
-        for idx in _epoch_batches(len(encoded), config.batch_size, rng):
-            batch = [encoded[i] for i in idx]
-            for p, _ in groups:
-                p.zero_grad()
-            total = None
-            for ids, mask, label in batch:
-                def hook(li, h):
-                    zs = [adapter_forward(h, a, li) for a in members]
-                    o, _ = fusion_attend(h, zs, omega.layers[li])
-                    return o
-                _, pooled = bb.forward(ids, mask, adapter_hook=hook)
-                ce = T.bce_with_logits(classify_logit(pooled, head2), float(label))
-                total = ce if total is None else total + ce
-            loss = total * (1.0 / len(batch))
-            T.backward(loss)
-            _sgd_step(groups, _lr_at(step, total_steps, config), config.weight_decay)
-            epoch_loss += loss.item() * len(batch)
-            step += 1
-        history2.append({"epoch": epoch, "ce_loss": epoch_loss / len(encoded),
-                         "distill_loss": 0.0})
+    hook = make_adapter_hook(omega=omega, members=members)
+    history2 = _fit(encoded, _ce_loss(bb, head2, hook),
+                    _param_groups(None, head2, omega=omega), config, rng)
     omega.set_trainable(False)
     return TrainedArtifact("adapter_fusion", adapter, head2, omega=omega,
                            fusion_members=members, history=history1 + history2)
@@ -419,7 +353,12 @@ def train_baseline(mode: str, train_examples, bb: Backbone, config: TrainConfig,
 
 def train_tenant(train_examples, val_examples, bb: Backbone, config: TrainConfig,
                  teacher_finals: list[AdapterWeights] | None = None) -> TrainedArtifact:
-    """Run the full training procedure for one tenant in the configured mode."""
+    """Run the full training procedure for one tenant in the configured mode.
+
+    In the distillation modes, a grid of several etas keeps the eta
+    search's winning stage-2 run as the result; otherwise stage 2 runs once
+    at the single eta.
+    """
     teacher_finals = teacher_finals or []
     mode = config.mode
     if mode in ("full", "head", "adapter", "adapter_fusion"):
@@ -432,12 +371,13 @@ def train_tenant(train_examples, val_examples, bb: Backbone, config: TrainConfig
                                 student_first if include_self else None)
     grid = config.eta if isinstance(config.eta, list) else [config.eta]
     if len(grid) > 1 and len(teachers) > 0:
-        eta, _ = select_eta(train_examples, val_examples, bb, student_first,
-                            teachers, config, grid, head=head1)
+        eta, _, (adapter, head, history2) = select_eta(
+            train_examples, val_examples, bb, student_first, teachers, config, grid,
+            head=head1)
     else:
         eta = grid[0]
-    adapter, head, history2 = train_stage2(train_examples, bb, student_first,
-                                           teachers, config, eta, head=head1)
+        adapter, head, history2 = train_stage2(train_examples, bb, student_first,
+                                               teachers, config, eta, head=head1)
     adapter.set_trainable(False)
     head.w.requires_grad = False
     head.b.requires_grad = False

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from adapterdistill import tensor as T
 from adapterdistill.backbone import (CLS_ID, PAD_ID, SEP_ID, Backbone,
-                                     BackboneConfig, classify, classify_logit,
-                                     hash_token, new_head, predict_label,
-                                     tokenize, tokenize_pair)
+                                     BackboneConfig, classify_logit,
+                                     hash_token, new_head, tokenize_pair)
 from adapterdistill.errors import ConfigurationError, DimensionError
 
 SMALL = BackboneConfig(vocab_size=512, hidden_dim=16, num_layers=2,
@@ -28,23 +28,33 @@ class TestConfig:
 
 class TestTokenize:
     def test_reserved_ids_never_collide_with_content(self):
-        ids, _ = tokenize("hello world", 10, 512)
-        assert ids[0] == CLS_ID
-        assert all(i >= 3 for i in ids[1:3])
+        ids, _ = tokenize_pair("hello", "world", 10, 512)
+        assert ids[0] == CLS_ID and ids[2] == SEP_ID
+        assert ids[1] >= 3 and ids[3] >= 3
 
     def test_case_insensitive(self):
-        a, _ = tokenize("Hello World", 10, 512)
-        b, _ = tokenize("hello world", 10, 512)
+        a, _ = tokenize_pair("Hello", "World", 10, 512)
+        b, _ = tokenize_pair("hello", "world", 10, 512)
         assert (a == b).all()
 
     def test_padding_and_mask(self):
-        ids, mask = tokenize("one two", 6, 512)
-        assert list(mask) == [1, 1, 1, 0, 0, 0]
-        assert list(ids[3:]) == [PAD_ID] * 3
+        ids, mask = tokenize_pair("one", "two", 6, 512)
+        assert list(mask) == [1, 1, 1, 1, 0, 0]
+        assert list(ids[4:]) == [PAD_ID] * 2
 
     def test_truncation(self):
-        ids, mask = tokenize("a b c d e f g h", 4, 512)
+        ids, mask = tokenize_pair("a b c d e f g h", "i j", 4, 512)
         assert len(ids) == 4 and mask.sum() == 4
+        assert ids[0] == CLS_ID and ids[2] == SEP_ID
+        with pytest.raises(ConfigurationError):
+            tokenize_pair("a", "b", 1, 512)
+
+    def test_long_query_keeps_separator_and_candidate(self):
+        query = " ".join(f"word{i}" for i in range(40))
+        a, _ = tokenize_pair(query, "alpha beta", 32, 512)
+        b, _ = tokenize_pair(query, "gamma delta", 32, 512)
+        assert SEP_ID in a and SEP_ID in b
+        assert not (a == b).all()
 
     def test_pair_has_separator(self):
         ids, _ = tokenize_pair("ab", "cd", 10, 512)
@@ -84,7 +94,7 @@ class TestBackbone:
 
     def test_adapter_hook_receives_every_layer(self):
         bb = Backbone(SMALL)
-        ids, mask = tokenize("x y", 10, SMALL.vocab_size)
+        ids, mask = tokenize_pair("x", "y", 10, SMALL.vocab_size)
         calls = []
 
         def hook(li, h):
@@ -99,19 +109,15 @@ class TestHead:
     def test_classify_probability_range(self):
         bb = Backbone(SMALL)
         head = new_head(SMALL.hidden_dim, np.random.default_rng(0))
-        ids, mask = tokenize("q", 10, SMALL.vocab_size)
+        ids, mask = tokenize_pair("q", "r", 10, SMALL.vocab_size)
         _, pooled = bb.forward(ids, mask)
-        p = classify(pooled, head).item()
+        p = T.sigmoid(classify_logit(pooled, head)).item()
         assert 0.0 < p < 1.0
 
     def test_dimension_mismatch(self):
         bb = Backbone(SMALL)
         head = new_head(SMALL.hidden_dim + 2, np.random.default_rng(0))
-        ids, mask = tokenize("q", 10, SMALL.vocab_size)
+        ids, mask = tokenize_pair("q", "r", 10, SMALL.vocab_size)
         _, pooled = bb.forward(ids, mask)
         with pytest.raises(DimensionError):
             classify_logit(pooled, head)
-
-    def test_threshold_boundary_is_positive(self):
-        assert predict_label(0.5) == 1
-        assert predict_label(0.49999) == 0

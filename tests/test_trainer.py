@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from adapterdistill import trainer
 from adapterdistill.backbone import Backbone, BackboneConfig
 from adapterdistill.errors import ConfigurationError, UsageError
 from adapterdistill.faq_data import build_dataset, make_synthetic_tenants
@@ -111,6 +112,42 @@ class TestStage2:
         assert all("distill_loss" in row for row in history)
         assert history[0]["distill_loss"] > 0.0
 
+    def test_one_backbone_forward_per_example(self, backbone, tiny_data, monkeypatch):
+        adapter, head = self._first_stage(backbone, tiny_data)
+        teachers = make_teacher_set([], adapter)
+        calls = []
+        real = Backbone.forward
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Backbone, "forward", counting)
+        train = tiny_data.split_of("train")
+        cfg = tiny_config(epochs=2)
+        train_stage2(train, backbone, adapter, teachers, cfg, eta=1.0, head=head)
+        assert len(calls) == cfg.epochs * len(train)
+
+    def test_trains_through_combined_loss(self, backbone, tiny_data, monkeypatch):
+        adapter, head = self._first_stage(backbone, tiny_data)
+        teachers = make_teacher_set([], adapter)
+        parts = []
+        real = trainer.combined_loss
+
+        def spying(batch, *args, **kwargs):
+            loss, ce, distill = real(batch, *args, **kwargs)
+            parts.append((len(batch), ce, distill))
+            return loss, ce, distill
+
+        monkeypatch.setattr(trainer, "combined_loss", spying)
+        train = tiny_data.split_of("train")
+        cfg = tiny_config(epochs=1)
+        _, _, history = train_stage2(train, backbone, adapter, teachers, cfg,
+                                     eta=1.0, head=head)
+        assert len(parts) == -(-len(train) // cfg.batch_size)
+        assert history[0]["ce_loss"] == sum(n * ce for n, ce, _ in parts) / len(train)
+        assert history[0]["distill_loss"] == sum(n * d for n, _, d in parts) / len(train)
+
     def test_teachers_unchanged_by_training(self, backbone, tiny_data):
         adapter, head = self._first_stage(backbone, tiny_data)
         teachers = make_teacher_set([], adapter)
@@ -123,9 +160,9 @@ class TestStage2:
 
 class TestSelectEta:
     def test_single_point_grid_short_circuits(self, backbone, tiny_data):
-        eta, trials = select_eta([], [], backbone, None, None, tiny_config(),
-                                 grid=[2.5])
-        assert eta == 2.5 and trials == []
+        eta, trials, winner = select_eta([], [], backbone, None, None, tiny_config(),
+                                         grid=[2.5])
+        assert eta == 2.5 and trials == [] and winner is None
 
     def test_empty_grid_rejected(self, backbone):
         with pytest.raises(ConfigurationError):
@@ -146,11 +183,33 @@ class TestSelectEta:
         adapter.set_trainable(False)
         teachers = make_teacher_set([], adapter)
         grid = [0.5, 2.0]
-        eta, trials = select_eta(tiny_data.split_of("train"),
-                                 tiny_data.split_of("val"), backbone, adapter,
-                                 teachers, tiny_config(), grid=grid, head=head)
+        eta, trials, (student, _, history) = select_eta(
+            tiny_data.split_of("train"), tiny_data.split_of("val"), backbone, adapter,
+            teachers, tiny_config(), grid=grid, head=head)
         assert eta in grid
         assert [t[0] for t in trials] == grid
+        assert student.stage == "final" and len(history) == tiny_config().epochs
+
+    def test_train_tenant_keeps_the_winning_trial(self, backbone, tiny_data, monkeypatch):
+        calls = []
+        real = trainer.train_stage2
+
+        def counting(*args, **kwargs):
+            calls.append(args[5])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "train_stage2", counting)
+        train, val = tiny_data.split_of("train"), tiny_data.split_of("val")
+        cfg = tiny_config(eta=[0.5, 2.0])
+        art = train_tenant(train, val, backbone, cfg)
+        assert calls == [0.5, 2.0]  # one run per grid point, no retraining
+
+        first, head, _ = train_stage1(train, backbone, cfg)
+        first.set_trainable(False)
+        direct, _, _ = real(train, backbone, first, make_teacher_set([], first),
+                            cfg, art.eta, head=head)
+        assert all((p.data == q.data).all()
+                   for p, q in zip(art.adapter.params(), direct.params()))
 
 
 class TestModes:
