@@ -14,9 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapter import AdapterLayer, AdapterWeights, STAGE_FINAL, STAGE_FIRST
+from .adapter import (AdapterLayer, AdapterWeights, STAGE_FINAL, STAGE_FIRST,
+                      backbone_param_count)
 from .backbone import Backbone, BackboneConfig, HeadWeights
-from .errors import FormatError, IntegrityError
+from .errors import ConfigurationError, FormatError, IntegrityError
 from .tensor import Tensor
 
 MAGIC_ADAPTER = b"ADPT"
@@ -179,8 +180,18 @@ def save_backbone(bb: Backbone, path) -> str:
 
 def load_backbone(path) -> Backbone:
     buf = _read_checked(path, MAGIC_BACKBONE)
-    vals = struct.unpack("<7I", buf.read(28))
-    bb = Backbone(BackboneConfig(*vals))
+    header = buf.read(28)
+    if len(header) != 28:
+        raise FormatError(f"{path}: truncated backbone header")
+    try:
+        config = BackboneConfig(*struct.unpack("<7I", header))
+    except ConfigurationError as exc:
+        raise FormatError(f"{path}: bad backbone header: {exc}") from None
+    # The header sizes the model: check it against the file before allocating.
+    payload, want = len(buf.getbuffer()) - buf.tell(), 8 * backbone_param_count(config)
+    if payload != want:
+        raise FormatError(f"{path}: {payload} payload bytes, header implies {want}")
+    bb = Backbone(config)
     for p in bb.params():
         p.data = _read_array(buf, *p.data.shape)
     return bb

@@ -36,15 +36,15 @@ class BackboneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("vocab_size", "hidden_dim", "num_layers", "num_heads", "ffn_dim"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"{name} must be positive")
         if self.hidden_dim % self.num_heads != 0:
             raise ConfigurationError(
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}"
             )
         if self.max_seq_len < 2:
             raise ConfigurationError(f"max_seq_len must be >= 2, got {self.max_seq_len}")
-        for name in ("vocab_size", "hidden_dim", "num_layers", "num_heads", "ffn_dim"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
 
     def to_dict(self) -> dict:
         return {

@@ -180,7 +180,11 @@ class Platform:
             raise ConflictError(f"tenant {name!r} already registered")
         config = replace(config or TrainConfig(), mode=mode)
         lock = self.root / "platform.lock"
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            raise ConflictError(f"{lock} exists: another registration is running, "
+                                "or a crashed one left it behind") from None
         try:
             prior = self.hash_snapshot()
             pairs = data if isinstance(data, LabeledPairs) else build_dataset(data)
@@ -270,10 +274,7 @@ class Platform:
                         "members": None, "backbone": None}
         self._log_access(name, "head.bin", "read")
         bundle["head"] = load_head(tdir / "head.bin")
-        if rec.adapter_path:
-            self._log_access(name, "adapter.bin", "read")
-            bundle["adapter"] = load_adapter(rec.adapter_path)
-        if (tdir / "fusion.bin").exists():
+        if (tdir / "fusion.bin").exists():  # fusion routing never reads adapter.bin
             self._log_access(name, "fusion.bin", "read")
             bundle["omega"] = load_fusion(tdir / "fusion.bin")
             members = []
@@ -281,6 +282,9 @@ class Platform:
                 self._log_access(name, f.name, "read")
                 members.append(load_adapter(f))
             bundle["members"] = members
+        elif rec.adapter_path:
+            self._log_access(name, "adapter.bin", "read")
+            bundle["adapter"] = load_adapter(rec.adapter_path)
         if (tdir / "backbone.bin").exists():
             self._log_access(name, "backbone.bin", "read")
             bundle["backbone"] = load_backbone(tdir / "backbone.bin")

@@ -1,15 +1,21 @@
 """Dense float64 tensors with tape-based reverse-mode autodiff.
 
 Every differentiable op records its inputs and a backward closure on the
-output node.  Nodes carry a global creation ordinal, so the backward pass
-can walk the reachable subgraph in exact reverse execution order (a
+output node.  A closure takes the output gradient as its argument and holds
+no reference to its own node, so a dropped graph is freed by reference
+counting alone.  Nodes carry a global creation ordinal, so the backward
+pass can walk the reachable subgraph in exact reverse execution order (a
 topological order by construction) and visit every op exactly once.
+Gradient mode is per thread (and per asyncio task): `no_grad` in one
+thread never stops taping in another.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable, Sequence
 
 import numpy as np
@@ -17,30 +23,29 @@ from scipy.special import erf
 
 from .errors import DimensionError, ConfigurationError, OracleError, UsageError
 
-_grad_enabled = True
-_next_ordinal = 0
+_grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
+_ordinals = itertools.count(1)
 
 
 @contextmanager
 def no_grad():
     """Disable tape recording inside the block (forward-only evaluation)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_backward", "_prev", "_ordinal")
+    __slots__ = ("data", "requires_grad", "grad", "_backward", "_prev", "_ordinal",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(self.data) if requires_grad else None
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[np.ndarray], None] | None = None
         self._prev: tuple[Tensor, ...] = ()
         self._ordinal = 0
 
@@ -97,16 +102,20 @@ def _as_tensor(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _make_node(data: np.ndarray, inputs: Sequence[Tensor], bw: Callable[["Tensor"], Callable[[], None]]) -> Tensor:
-    """Build an output node; records the backward closure only when needed."""
-    global _next_ordinal
+def _needs(t: Tensor) -> bool:
+    """True when gradient flows into t: a trainable leaf or a taped node."""
+    return t.requires_grad or t._backward is not None
+
+
+def _make_node(data: np.ndarray, inputs: Sequence[Tensor],
+               bw: Callable[[np.ndarray], None]) -> Tensor:
+    """Build an output node; records the backward closure bw(g), which gets
+    the output gradient, only when needed (grad is allocated in backward)."""
     out = Tensor(data)
-    if _grad_enabled and any(t.requires_grad or t._backward is not None for t in inputs):
-        out.requires_grad = False  # not a leaf; grad allocated lazily in backward
+    if _grad_enabled.get() and any(_needs(t) for t in inputs):
         out._prev = tuple(inputs)
-        out._backward = bw(out)
-        _next_ordinal += 1
-        out._ordinal = _next_ordinal
+        out._backward = bw
+        out._ordinal = next(_ordinals)
     return out
 
 
@@ -129,10 +138,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _needs(t: Tensor) -> bool:
-    return t.requires_grad or t._backward is not None
-
-
 # ---------------------------------------------------------------------------
 # elementwise / broadcast ops
 
@@ -140,13 +145,11 @@ def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     data = a.data + b.data
 
-    def bw(out):
-        def run():
-            if _needs(a):
-                _accum(a, _unbroadcast(out.grad, a.data.shape))
-            if _needs(b):
-                _accum(b, _unbroadcast(out.grad, b.data.shape))
-        return run
+    def bw(g):
+        if _needs(a):
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if _needs(b):
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return _make_node(data, (a, b), bw)
 
@@ -155,13 +158,11 @@ def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     data = a.data - b.data
 
-    def bw(out):
-        def run():
-            if _needs(a):
-                _accum(a, _unbroadcast(out.grad, a.data.shape))
-            if _needs(b):
-                _accum(b, -_unbroadcast(out.grad, b.data.shape))
-        return run
+    def bw(g):
+        if _needs(a):
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if _needs(b):
+            _accum(b, -_unbroadcast(g, b.data.shape))
 
     return _make_node(data, (a, b), bw)
 
@@ -170,13 +171,11 @@ def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     data = a.data * b.data
 
-    def bw(out):
-        def run():
-            if _needs(a):
-                _accum(a, _unbroadcast(out.grad * b.data, a.data.shape))
-            if _needs(b):
-                _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
-        return run
+    def bw(g):
+        if _needs(a):
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if _needs(b):
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make_node(data, (a, b), bw)
 
@@ -189,13 +188,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
     data = a.data @ b.data
 
-    def bw(out):
-        def run():
-            if _needs(a):
-                _accum(a, out.grad @ b.data.T)
-            if _needs(b):
-                _accum(b, a.data.T @ out.grad)
-        return run
+    def bw(g):
+        if _needs(a):
+            _accum(a, g @ b.data.T)
+        if _needs(b):
+            _accum(b, a.data.T @ g)
 
     return _make_node(data, (a, b), bw)
 
@@ -203,11 +200,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def transpose(a: Tensor) -> Tensor:
     data = a.data.T
 
-    def bw(out):
-        def run():
-            if _needs(a):
-                _accum(a, out.grad.T)
-        return run
+    def bw(g):
+        if _needs(a):
+            _accum(a, g.T)
 
     return _make_node(data, (a,), bw)
 
@@ -216,43 +211,33 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     data = table.data[ids]
 
-    def bw(out):
-        def run():
-            if _needs(table):
-                if table.grad is None:
-                    table.grad = np.zeros_like(table.data)
-                np.add.at(table.grad, ids, out.grad)
-        return run
+    def bw(g):
+        if _needs(table):
+            if table.grad is None:
+                table.grad = np.zeros_like(table.data)
+            np.add.at(table.grad, ids, g)
 
     return _make_node(data, (table,), bw)
 
 
-def rows(a: Tensor, start: int, stop: int) -> Tensor:
-    data = a.data[start:stop]
+def _slice(a: Tensor, index) -> Tensor:
+    data = a.data[index]
 
-    def bw(out):
-        def run():
-            if _needs(a):
-                g = np.zeros_like(a.data)
-                g[start:stop] = out.grad
-                _accum(a, g)
-        return run
+    def bw(g):
+        if _needs(a):
+            full = np.zeros_like(a.data)
+            full[index] = g
+            _accum(a, full)
 
     return _make_node(data, (a,), bw)
+
+
+def rows(a: Tensor, start: int, stop: int) -> Tensor:
+    return _slice(a, np.s_[start:stop])
 
 
 def cols(a: Tensor, start: int, stop: int) -> Tensor:
-    data = a.data[:, start:stop]
-
-    def bw(out):
-        def run():
-            if _needs(a):
-                g = np.zeros_like(a.data)
-                g[:, start:stop] = out.grad
-                _accum(a, g)
-        return run
-
-    return _make_node(data, (a,), bw)
+    return _slice(a, np.s_[:, start:stop])
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -260,14 +245,12 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     data = np.concatenate([p.data for p in parts], axis=1)
     widths = [p.data.shape[1] for p in parts]
 
-    def bw(out):
-        def run():
-            ofs = 0
-            for p, w in zip(parts, widths):
-                if _needs(p):
-                    _accum(p, out.grad[:, ofs:ofs + w])
-                ofs += w
-        return run
+    def bw(g):
+        ofs = 0
+        for p, w in zip(parts, widths):
+            if _needs(p):
+                _accum(p, g[:, ofs:ofs + w])
+            ofs += w
 
     return _make_node(data, tuple(parts), bw)
 
@@ -275,11 +258,9 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
 def tsum(a: Tensor) -> Tensor:
     data = np.array(a.data.sum())
 
-    def bw(out):
-        def run():
-            if _needs(a):
-                _accum(a, np.full_like(a.data, float(out.grad)))
-        return run
+    def bw(g):
+        if _needs(a):
+            _accum(a, np.full_like(a.data, float(g)))
 
     return _make_node(data, (a,), bw)
 
@@ -288,11 +269,9 @@ def tmean(a: Tensor) -> Tensor:
     n = a.data.size
     data = np.array(a.data.mean())
 
-    def bw(out):
-        def run():
-            if _needs(a):
-                _accum(a, np.full_like(a.data, float(out.grad) / n))
-        return run
+    def bw(g):
+        if _needs(a):
+            _accum(a, np.full_like(a.data, float(g) / n))
 
     return _make_node(data, (a,), bw)
 
@@ -300,11 +279,9 @@ def tmean(a: Tensor) -> Tensor:
 def sqrt(a: Tensor) -> Tensor:
     data = np.sqrt(a.data)
 
-    def bw(out):
-        def run():
-            if _needs(a):
-                _accum(a, out.grad * 0.5 / np.sqrt(a.data))
-        return run
+    def bw(g):
+        if _needs(a):
+            _accum(a, g * 0.5 / np.sqrt(a.data))
 
     return _make_node(data, (a,), bw)
 
@@ -321,12 +298,10 @@ def gelu(a: Tensor) -> Tensor:
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     data = x * cdf
 
-    def bw(out):
-        def run():
-            if _needs(a):
-                pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-                _accum(a, out.grad * (cdf + x * pdf))
-        return run
+    def bw(g):
+        if _needs(a):
+            pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
+            _accum(a, g * (cdf + x * pdf))
 
     return _make_node(data, (a,), bw)
 
@@ -334,11 +309,9 @@ def gelu(a: Tensor) -> Tensor:
 def tanh(a: Tensor) -> Tensor:
     data = np.tanh(a.data)
 
-    def bw(out):
-        def run():
-            if _needs(a):
-                _accum(a, out.grad * (1.0 - data * data))
-        return run
+    def bw(g):
+        if _needs(a):
+            _accum(a, g * (1.0 - data * data))
 
     return _make_node(data, (a,), bw)
 
@@ -348,11 +321,9 @@ def sigmoid(a: Tensor) -> Tensor:
     data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
-    def bw(out):
-        def run():
-            if _needs(a):
-                _accum(a, out.grad * data * (1.0 - data))
-        return run
+    def bw(g):
+        if _needs(a):
+            _accum(a, g * data * (1.0 - data))
 
     return _make_node(data, (a,), bw)
 
@@ -365,12 +336,10 @@ def softmax(a: Tensor) -> Tensor:
     e = np.exp(shifted)
     data = e / e.sum(axis=-1, keepdims=True)
 
-    def bw(out):
-        def run():
-            if _needs(a):
-                dot = (out.grad * data).sum(axis=-1, keepdims=True)
-                _accum(a, data * (out.grad - dot))
-        return run
+    def bw(g):
+        if _needs(a):
+            dot = (g * data).sum(axis=-1, keepdims=True)
+            _accum(a, data * (g - dot))
 
     return _make_node(data, (a,), bw)
 
@@ -391,19 +360,16 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     xhat = xc * inv
     data = xhat * gain.data + bias.data
 
-    def bw(out):
-        def run():
-            g = out.grad
-            if _needs(x):
-                gh = g * gain.data
-                gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
-                            - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
-                _accum(x, gx)
-            if _needs(gain):
-                _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
-            if _needs(bias):
-                _accum(bias, _unbroadcast(g, bias.data.shape))
-        return run
+    def bw(g):
+        if _needs(x):
+            gh = g * gain.data
+            gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
+                        - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+            _accum(x, gx)
+        if _needs(gain):
+            _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
+        if _needs(bias):
+            _accum(bias, _unbroadcast(g, bias.data.shape))
 
     return _make_node(data, (x, gain, bias), bw)
 
@@ -415,11 +381,9 @@ def bce_with_logits(logit: Tensor, target: float) -> Tensor:
     loss = max(x, 0.0) - x * y + math.log1p(math.exp(-abs(x)))
     p = 1.0 / (1.0 + math.exp(-x)) if x >= 0 else math.exp(x) / (1.0 + math.exp(x))
 
-    def bw(out):
-        def run():
-            if _needs(logit):
-                _accum(logit, np.full_like(logit.data, float(out.grad) * (p - y)))
-        return run
+    def bw(g):
+        if _needs(logit):
+            _accum(logit, np.full_like(logit.data, float(g) * (p - y)))
 
     return _make_node(np.array(loss), (logit,), bw)
 
@@ -446,9 +410,8 @@ def backward(loss: Tensor) -> None:
     nodes.sort(key=lambda t: t._ordinal)
     loss.grad = np.ones_like(loss.data)
     for t in reversed(nodes):
-        if t.grad is None:
-            continue
-        t._backward()
+        if t.grad is not None:
+            t._backward(t.grad)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,7 @@ def _fit(encoded, loss_fn, groups: list[tuple[Tensor, bool]], config: TrainConfi
             loss, ce, dl = loss_fn(batch)
             T.backward(loss)
             _sgd_step(groups, _lr_at(step, total_steps, config), config.weight_decay)
+            del loss  # free this batch's graph before the next batch builds its own
             ce_sum += ce * len(batch)
             dl_sum += dl * len(batch)
             step += 1

@@ -1,8 +1,12 @@
 """Binary artifact round-trips, exact sizes, and corruption handling."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
+import adapterdistill.artifacts as artifacts
 from adapterdistill.adapter import init_adapter
 from adapterdistill.artifacts import (adapter_file_size, file_hash,
                                       load_adapter, load_backbone,
@@ -113,6 +117,43 @@ class TestOtherFormats:
         loaded = load_backbone(path)
         assert loaded.config == SMALL
         assert loaded.weights_hash() == bb.weights_hash()
+
+    @staticmethod
+    def write_backbone(path, header, payload=b""):
+        body = b"BKBN" + struct.pack("<H", 1) + header + payload
+        path.write_bytes(body + hashlib.sha256(body).digest())
+
+    @pytest.mark.parametrize("vocab_size", [300_000, 2**32 - 1])
+    def test_oversized_backbone_header_rejected_before_allocating(self, tmp_path,
+                                                                  monkeypatch, vocab_size):
+        def refuse(config):
+            raise AssertionError(f"load_backbone built a backbone for {config}")
+
+        monkeypatch.setattr(artifacts, "Backbone", refuse)
+        path = tmp_path / "b.bin"
+        self.write_backbone(path, struct.pack("<7I", vocab_size, 8, 2, 2, 16, 6, 0),
+                            bytes(8))
+        with pytest.raises(FormatError, match="header implies"):
+            load_backbone(path)
+
+    @pytest.mark.parametrize("extra", [-8, 8], ids=["short", "long"])
+    def test_backbone_payload_one_value_off_rejected(self, tmp_path, extra):
+        path = tmp_path / "b.bin"
+        save_backbone(Backbone(SMALL), path)
+        body = path.read_bytes()[:-32]
+        payload = body[34:extra] if extra < 0 else body[34:] + bytes(extra)
+        self.write_backbone(path, body[6:34], payload)
+        with pytest.raises(FormatError, match="header implies"):
+            load_backbone(path)
+
+    @pytest.mark.parametrize("header", [struct.pack("<7I", 256, 8, 2, 0, 16, 6, 0),
+                                        struct.pack("<3I", 256, 8, 2)],
+                             ids=["zero_heads", "truncated"])
+    def test_malformed_backbone_header_is_format_error(self, tmp_path, header):
+        path = tmp_path / "b.bin"
+        self.write_backbone(path, header)
+        with pytest.raises(FormatError):
+            load_backbone(path)
 
     def test_file_hash_matches_trailing_digest_input(self, tmp_path):
         path = tmp_path / "a.bin"

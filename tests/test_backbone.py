@@ -18,6 +18,10 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             BackboneConfig(hidden_dim=10, num_heads=4)
 
+    def test_zero_heads_is_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="num_heads must be positive"):
+            BackboneConfig(num_heads=0)
+
     def test_min_sequence_length(self):
         with pytest.raises(ConfigurationError):
             BackboneConfig(max_seq_len=1)

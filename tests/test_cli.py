@@ -74,6 +74,14 @@ class TestRegister:
         code, _, err = self.register(tmp_path, kb_file, capsys)
         assert code == 3 and "already registered" in err
 
+    def test_stale_lock_exits_3_without_traceback(self, tmp_path, kb_file, capsys):
+        (tmp_path / "plat").mkdir()
+        (tmp_path / "plat" / "platform.lock").touch()
+        code, _, err = self.register(tmp_path, kb_file, capsys)
+        assert code == 3
+        assert err.startswith("error:") and "platform.lock" in err
+        assert "Traceback" not in err
+
     def test_no_self_teacher_flag_accepted(self, tmp_path, kb_file, capsys):
         code, _, _ = self.register(tmp_path, kb_file, capsys,
                                    extra=["--no-self-teacher"])

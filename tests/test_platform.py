@@ -84,8 +84,10 @@ class TestRegistration:
     def test_stale_lock_blocks_registration(self, tmp_path, kbs):
         plat = Platform(tmp_path, SMALL)
         (tmp_path / "platform.lock").touch()
-        with pytest.raises(FileExistsError):
+        with pytest.raises(ConflictError, match="platform.lock"):
             plat.register_tenant("alpha", kbs[0], "adapter", quick_config())
+        assert (tmp_path / "platform.lock").exists()
+        assert "alpha" not in plat.records
 
     def test_distill_uses_prior_tenants_as_teachers(self, tmp_path, kbs):
         plat = Platform(tmp_path, SMALL)
@@ -166,6 +168,29 @@ class TestRouting:
         plat.route("beta", "q", "c")
         lines = (tmp_path / "access.log").read_text().splitlines()
         assert lines and all(line.split("\t")[1] == "beta" for line in lines)
+
+    def test_fusion_route_on_cold_cache_skips_adapter_bin(self, tmp_path, kbs):
+        plat = Platform(tmp_path, SMALL)
+        plat.register_tenant("alpha", kbs[0], "adapter", quick_config())
+        plat.register_tenant("beta", kbs[1], "adapter_fusion", quick_config(seed=1))
+        (tmp_path / "access.log").unlink()
+        plat._cache.clear()
+        plat.route("beta", "q", "c")
+        files = [line.split("\t")[2] for line in
+                 (tmp_path / "access.log").read_text().splitlines()]
+        assert "fusion.bin" in files and "adapter.bin" not in files
+
+    def test_fusion_tenant_adapter_bin_still_hash_checked(self, tmp_path, kbs):
+        plat = Platform(tmp_path, SMALL)
+        plat.register_tenant("alpha", kbs[0], "adapter", quick_config())
+        plat.register_tenant("beta", kbs[1], "adapter_fusion", quick_config(seed=1))
+        path = plat.tenant_dir("beta") / "adapter.bin"
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        plat._cache.clear()
+        with pytest.raises(IntegrityError):
+            plat.route("beta", "q", "c")
 
     def test_evaluate_tenant_matches_registration_report(self, tmp_path, kbs):
         plat = Platform(tmp_path, SMALL)

@@ -1,5 +1,9 @@
 """Autodiff core: every op's analytic gradient against central differences."""
 
+import gc
+import threading
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,6 +120,54 @@ class TestBackward:
         b = Tensor(np.ones((2, 2)))
         backward(T.tsum(T.mul(a, b)))
         assert b.grad is None
+
+    def test_no_grad_in_one_thread_leaves_another_taping(self):
+        entered, done = threading.Event(), threading.Event()
+
+        def serve():
+            with no_grad():
+                entered.set()
+                done.wait(timeout=30)
+
+        server = threading.Thread(target=serve)
+        server.start()
+        try:
+            assert entered.wait(timeout=30)
+            a = Tensor(np.array([[1.0]]), requires_grad=True)
+            backward(T.tsum(T.mul(a, a)))
+        finally:
+            done.set()
+            server.join(timeout=30)
+        assert not server.is_alive()
+        assert a.grad[0, 0] == 2.0
+
+    def test_dropped_graph_is_freed_without_the_cycle_collector(self):
+        rng = np.random.default_rng(0)
+        table, a, g, b = leaf(rng, 5, 3), leaf(rng, 4, 3), leaf(rng, 3), leaf(rng, 3)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            h = T.layernorm(T.embedding(table, np.array([0, 2, 2, 4])) + a, g, b)
+            h = T.mul(T.tanh(T.gelu(h) - T.sigmoid(a)), T.softmax(h))
+            s = T.matmul(T.transpose(h), h)
+            s = T.concat_cols([T.cols(s, 0, 1), T.cols(s, 1, 3)])
+            loss = T.bce_with_logits(T.tsum(T.rows(s, 0, 1)), 1.0) \
+                + T.tmean(T.sqrt(T.mul(s, s) + 1.0))
+            del h, s
+            probes, stack = {}, [loss]  # id -> weakref, one per taped node
+            while stack:
+                t = stack.pop()
+                if t._backward is not None and id(t) not in probes:
+                    probes[id(t)] = weakref.ref(t)
+                    stack.extend(t._prev)
+            del t
+            backward(loss)
+            assert len(probes) == 22 and all(p() is not None for p in probes.values())
+            del loss
+            assert [p() for p in probes.values() if p() is not None] == []
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestGradCheck:
