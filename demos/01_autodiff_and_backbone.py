@@ -34,13 +34,19 @@ def main():
     ids, mask = tokenize_pair("how do i reset my password",
                               "forgot password help", config.max_seq_len,
                               config.vocab_size)
-    hidden, pooled = bb.forward(ids, mask)
+    hidden = []
+
+    def record(layer, h):  # the adapter insertion point; returning h adds nothing
+        hidden.append(h)
+        return h
+
+    pooled = bb.forward(ids, mask, adapter_hook=record)
     print(f"token ids: {ids[:8]}... ({int(mask.sum())} real tokens)")
     print(f"per-layer hidden states: {len(hidden)} x {hidden[0].data.shape}")
     print(f"pooled representation: shape {pooled.data.shape}, "
           f"norm {np.linalg.norm(pooled.data):.4f}")
     print("the encoder is frozen: rerunning the forward pass is bit-identical:",
-          (bb.forward(ids, mask)[1].data == pooled.data).all())
+          (bb.forward(ids, mask).data == pooled.data).all())
 
 
 if __name__ == "__main__":

@@ -50,22 +50,39 @@ def _read_checked(path, magic: bytes) -> io.BytesIO:
     buf = io.BytesIO(body)
     if buf.read(4) != magic:
         raise FormatError(f"{path}: bad magic, expected {magic!r}")
-    (version,) = struct.unpack("<H", buf.read(2))
+    (version,) = _unpack(buf, path, "<H")
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported format version {version}")
     return buf
 
 
-def _read_name(buf: io.BytesIO) -> str:
-    (n,) = struct.unpack("<H", buf.read(2))
-    return buf.read(n).decode("utf-8")
+def _unpack(buf: io.BytesIO, path, fmt: str) -> tuple:
+    """struct.unpack the next fields; FormatError if the body ends first."""
+    raw = buf.read(struct.calcsize(fmt))
+    if len(raw) != struct.calcsize(fmt):
+        raise FormatError(f"{path}: truncated header")
+    return struct.unpack(fmt, raw)
+
+
+def _read_name(buf: io.BytesIO, path) -> str:
+    (n,) = _unpack(buf, path, "<H")
+    (raw,) = _unpack(buf, path, f"{n}s")
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: tenant name is not UTF-8") from None
+
+
+def _check_payload(buf: io.BytesIO, path, count: int) -> None:
+    """The rest of the body must be exactly `count` float64 values; checked
+    before anything is allocated from header sizes."""
+    payload, want = len(buf.getvalue()) - buf.tell(), 8 * count
+    if payload != want:
+        raise FormatError(f"{path}: {payload} payload bytes, header implies {want}")
 
 
 def _read_array(buf: io.BytesIO, *shape) -> np.ndarray:
-    count = int(np.prod(shape))
-    raw = buf.read(8 * count)
-    if len(raw) != 8 * count:
-        raise FormatError("truncated tensor payload")
+    raw = buf.read(8 * int(np.prod(shape)))  # length checked by _check_payload
     return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
 
@@ -89,13 +106,14 @@ def save_adapter(w: AdapterWeights, path) -> str:
 
 def load_adapter(path) -> AdapterWeights:
     buf = _read_checked(path, MAGIC_ADAPTER)
-    name = _read_name(buf)
-    (stage_byte,) = struct.unpack("<B", buf.read(1))
+    name = _read_name(buf, path)
+    (stage_byte,) = _unpack(buf, path, "<B")
     if stage_byte not in (0, 1):
         raise FormatError(f"{path}: bad stage byte {stage_byte}")
-    L, d, m = struct.unpack("<HII", buf.read(10))
+    L, d, m = _unpack(buf, path, "<HII")
     if m >= d or L == 0:
         raise FormatError(f"{path}: inconsistent dimensions L={L} d={d} m={m}")
+    _check_payload(buf, path, L * (2 * d * m + m + d))
     w = AdapterWeights(name, m, stage=STAGE_FINAL if stage_byte else STAGE_FIRST)
     for _ in range(L):
         w.layers.append(AdapterLayer(
@@ -131,8 +149,9 @@ def save_head(head: HeadWeights, tenant_name: str, path) -> str:
 
 def load_head(path) -> HeadWeights:
     buf = _read_checked(path, MAGIC_HEAD)
-    _read_name(buf)
-    (d,) = struct.unpack("<I", buf.read(4))
+    _read_name(buf, path)
+    (d,) = _unpack(buf, path, "<I")
+    _check_payload(buf, path, d + 1)
     return HeadWeights(w=Tensor(_read_array(buf, d, 1)), b=Tensor(_read_array(buf, 1, 1)))
 
 
@@ -155,8 +174,11 @@ def save_fusion(omega, tenant_name: str, path) -> str:
 def load_fusion(path):
     from .fusion import FusionWeights
     buf = _read_checked(path, MAGIC_FUSION)
-    _read_name(buf)
-    L, d = struct.unpack("<HI", buf.read(6))
+    _read_name(buf, path)
+    L, d = _unpack(buf, path, "<HI")
+    if L == 0 or d == 0:
+        raise FormatError(f"{path}: empty fusion layers L={L} d={d}")
+    _check_payload(buf, path, 3 * L * d * d)
     layers = []
     for _ in range(L):
         layers.append(tuple(Tensor(_read_array(buf, d, d)) for _ in range(3)))
@@ -180,17 +202,11 @@ def save_backbone(bb: Backbone, path) -> str:
 
 def load_backbone(path) -> Backbone:
     buf = _read_checked(path, MAGIC_BACKBONE)
-    header = buf.read(28)
-    if len(header) != 28:
-        raise FormatError(f"{path}: truncated backbone header")
     try:
-        config = BackboneConfig(*struct.unpack("<7I", header))
+        config = BackboneConfig(*_unpack(buf, path, "<7I"))
     except ConfigurationError as exc:
         raise FormatError(f"{path}: bad backbone header: {exc}") from None
-    # The header sizes the model: check it against the file before allocating.
-    payload, want = len(buf.getbuffer()) - buf.tell(), 8 * backbone_param_count(config)
-    if payload != want:
-        raise FormatError(f"{path}: {payload} payload bytes, header implies {want}")
+    _check_payload(buf, path, backbone_param_count(config))
     bb = Backbone(config)
     for p in bb.params():
         p.data = _read_array(buf, *p.data.shape)

@@ -39,6 +39,9 @@ class BackboneConfig:
         for name in ("vocab_size", "hidden_dim", "num_layers", "num_heads", "ffn_dim"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
+        if self.vocab_size <= NUM_RESERVED:
+            raise ConfigurationError(f"vocab_size must exceed the {NUM_RESERVED} "
+                                     f"reserved ids, got {self.vocab_size}")
         if self.hidden_dim % self.num_heads != 0:
             raise ConfigurationError(
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}"
@@ -206,22 +209,18 @@ class Backbone:
         """Run the encoder.
 
         adapter_hook(layer_index, h) may transform the post-FFN hidden state
-        h (the adapter insertion point); identity when None.  Returns
-        (per_layer_h, pooled) where per_layer_h[l] is the pre-adapter hidden
-        state of layer l.
+        h (the adapter insertion point); identity when None.  Returns the
+        pooled representation.
         """
         tlen = len(ids)
         x = T.embedding(self.token_emb, ids) + T.rows(self.pos_emb, 0, tlen)
-        per_layer_h: list[Tensor] = []
         for li, layer in enumerate(self.layers):
             a = T.layernorm(x + self._attention(x, layer, mask), layer.ln1_g, layer.ln1_b)
             f = T.matmul(T.gelu(T.matmul(a, layer.w_ff1) + layer.b_ff1), layer.w_ff2) + layer.b_ff2
-            per_layer_h.append(f)
             z = f if adapter_hook is None else adapter_hook(li, f)
             x = T.layernorm(a + z, layer.ln2_g, layer.ln2_b)
         first = T.rows(x, 0, 1)
-        pooled = T.tanh(T.matmul(first, self.pool_w) + self.pool_b)
-        return per_layer_h, pooled
+        return T.tanh(T.matmul(first, self.pool_w) + self.pool_b)
 
 
 def classify_logit(pooled: Tensor, head: HeadWeights) -> Tensor:

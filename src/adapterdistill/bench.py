@@ -18,7 +18,7 @@ from .backbone import Backbone, BackboneConfig, new_head
 from .errors import ConfigurationError, UsageError
 from .fusion import init_fusion
 from .tensor import no_grad
-from .trainer import predict_prob
+from .trainer import TrainedArtifact, predict_prob
 
 
 def backbone_flops(config: BackboneConfig, seq_len: int) -> int:
@@ -85,10 +85,10 @@ class CostReport:
         raise UsageError(f"no result for {mode} @ batch {batch_size}")
 
 
-def _time_batch(run, batch_size: int) -> float:
+def _time_batch(bb: Backbone, artifact: TrainedArtifact, ids, mask, batch_size: int) -> float:
     t0 = time.perf_counter()
     for _ in range(batch_size):
-        run()
+        predict_prob(bb, artifact, ids, mask)
     return (time.perf_counter() - t0) * 1000.0
 
 
@@ -116,27 +116,21 @@ def cost_report(config: BackboneConfig, batch_sizes: list[int],
     head = new_head(config.hidden_dim, rng)
     head.w.requires_grad = False
     head.b.requires_grad = False
-    adapter = init_adapter("bench", config, bottleneck_dim, seed=seed, trainable=False)
-    members = [init_adapter(f"m{i}", config, bottleneck_dim, seed=seed + i, trainable=False)
-               for i in range(n_members)]
-    omega = init_fusion(config.hidden_dim, config.num_layers, seed=seed, trainable=False)
+    plain = TrainedArtifact("head", None, head)
+    adapted = TrainedArtifact("adapter", init_adapter("bench", config, bottleneck_dim,
+                                                      seed=seed, trainable=False), head)
+    fused = TrainedArtifact(
+        "adapter_fusion", None, head,
+        omega=init_fusion(config.hidden_dim, config.num_layers, seed=seed, trainable=False),
+        fusion_members=[init_adapter(f"m{i}", config, bottleneck_dim, seed=seed + i,
+                                     trainable=False) for i in range(n_members)])
     ids = rng.integers(3, config.vocab_size, size=T).astype(np.int64)
     mask = np.ones(T)
-
-    def run_plain():
-        predict_prob(bb, ids, mask, head)
-
-    def run_adapter():
-        predict_prob(bb, ids, mask, head, adapter=adapter)
-
-    def run_fusion():
-        predict_prob(bb, ids, mask, head, omega=omega, fusion_members=members)
-
-    runners = {"full": (run_plain, inference_flops(config, T, "full")),
-               "head": (run_plain, inference_flops(config, T, "head")),
-               "adapter": (run_adapter, fa),
-               "adapter_distill": (run_adapter, fd),
-               "adapter_fusion": (run_fusion, ff)}
+    runners = {"full": (plain, inference_flops(config, T, "full")),
+               "head": (plain, inference_flops(config, T, "head")),
+               "adapter": (adapted, fa),
+               "adapter_distill": (adapted, fd),
+               "adapter_fusion": (fused, ff)}
 
     # Every repetition times each mode once, so drift in machine speed hits
     # all modes alike; the order flips each repetition so that no mode
@@ -144,11 +138,11 @@ def cost_report(config: BackboneConfig, batch_sizes: list[int],
     times: dict[tuple[str, int], list[float]] = {(m, bs): [] for m in modes for bs in batch_sizes}
     with no_grad():
         for mode in modes:
-            runners[mode][0]()  # warm up
+            _time_batch(bb, runners[mode][0], ids, mask, 1)  # warm up
         for bs in batch_sizes:
             for rep in range(repetitions):
                 for mode in (modes if rep % 2 == 0 else modes[::-1]):
-                    times[mode, bs].append(_time_batch(runners[mode][0], bs))
+                    times[mode, bs].append(_time_batch(bb, runners[mode][0], ids, mask, bs))
     report = CostReport(config=config, seq_len=T, n_members=n_members)
     for mode in modes:
         for bs in batch_sizes:

@@ -149,7 +149,6 @@ def _train_config_from(args, config) -> TrainConfig:
         seed=_resolve(args, config, "seed", int, 0),
         bottleneck_dim=_resolve(args, config, "bottleneck-dim", int,
                                 TrainConfig.bottleneck_dim),
-        include_self=not args.no_self_teacher,
     )
     if eta_text is not None:
         kwargs["eta"] = _csv_floats(eta_text)
@@ -272,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-grid", default=None,
                    help="comma-separated distillation weights to grid-search "
                         "(default e^-2,e^-1,1,e,e^2)")
-    p.add_argument("--no-self-teacher", action="store_true",
-                   help="exclude the tenant's own first-stage adapter from the teacher set")
     p.add_argument("--epochs", type=int, default=None, help="epochs per stage (default 10)")
     p.add_argument("--learning-rate", type=float, default=None, help="peak rate (default 0.5)")
     p.add_argument("--batch-size", type=int, default=None, help="default 8")

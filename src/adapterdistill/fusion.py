@@ -173,7 +173,7 @@ def distill_example_forward(bb: Backbone, ids: np.ndarray, mask: np.ndarray,
         p_list.append(p)
         return z_student
 
-    _, pooled = bb.forward(ids, mask, adapter_hook=hook)
+    pooled = bb.forward(ids, mask, adapter_hook=hook)
     return pooled, o_list, z_list, p_list
 
 
@@ -198,7 +198,7 @@ def combined_loss(batch, bb: Backbone, student: AdapterWeights, head,
     n = 0
     for ids, mask, label in batch:
         if eta == 0:
-            _, pooled = bb.forward(ids, mask, adapter_hook=hook)
+            pooled = bb.forward(ids, mask, adapter_hook=hook)
         else:
             pooled, o_list, z_list, _ = distill_example_forward(
                 bb, ids, mask, student, teachers, omega)

@@ -86,6 +86,8 @@ def parse_space(text: str, storage: StorageModel | None = None) -> float:
 
 @dataclass
 class TenantRecord:
+    """One registry line.  `adapter_path` is nonempty when the tenant has an
+    adapter; files are always opened in `Platform.tenant_dir(name)`."""
     name: str
     ordinal: int
     adapter_path: str
@@ -128,7 +130,7 @@ class Platform:
         self.registry_path = self.root / "registry.txt"
         self.access_log_path = self.root / "access.log"
         self.records: "OrderedDict[str, TenantRecord]" = OrderedDict()
-        self._cache: "OrderedDict[str, dict]" = OrderedDict()
+        self._cache: "OrderedDict[str, TrainedArtifact]" = OrderedDict()
         self._cache_capacity = cache_capacity
         self._load_registry()
 
@@ -203,8 +205,8 @@ class Platform:
             record = TenantRecord(
                 name=name,
                 ordinal=len(self.records) + 1,
-                adapter_path=str(tdir / "adapter.bin") if artifact.adapter else "",
-                head_path=str(tdir / "head.bin"),
+                adapter_path="adapter.bin" if artifact.adapter else "",
+                head_path="head.bin",
                 content_hash=self._content_hash(name),
                 mode=mode,
                 registered_at=datetime.now(timezone.utc).isoformat(),
@@ -221,13 +223,14 @@ class Platform:
             os.close(fd)
             os.unlink(lock)
 
+    def _load(self, name: str, filename: str, loader):
+        """Every artifact read: logged, and opened in the tenant's own directory."""
+        self._log_access(name, filename, "read")
+        return loader(self.tenant_dir(name) / filename)
+
     def _teacher_adapters(self) -> list[AdapterWeights]:
-        out = []
-        for rec in self.records.values():
-            if rec.adapter_path:
-                self._log_access(rec.name, Path(rec.adapter_path).name, "read")
-                out.append(load_adapter(rec.adapter_path))
-        return out
+        return [self._load(rec.name, "adapter.bin", load_adapter)
+                for rec in self.records.values() if rec.adapter_path]
 
     def _persist(self, name, tdir, artifact: TrainedArtifact, pairs, report, config):
         if artifact.adapter is not None:
@@ -260,7 +263,7 @@ class Platform:
 
     # -- routing ----------------------------------------------------------
 
-    def _load_bundle(self, name: str) -> dict:
+    def _load_bundle(self, name: str) -> TrainedArtifact:
         rec = self.records.get(name)
         if rec is None:
             raise NotFoundError(f"unknown tenant {name!r}")
@@ -270,28 +273,19 @@ class Platform:
         if self._content_hash(name) != rec.content_hash:
             raise IntegrityError(f"tenant {name!r}: artifact hash mismatch")
         tdir = self.tenant_dir(name)
-        bundle: dict = {"mode": rec.mode, "adapter": None, "omega": None,
-                        "members": None, "backbone": None}
-        self._log_access(name, "head.bin", "read")
-        bundle["head"] = load_head(tdir / "head.bin")
+        artifact = TrainedArtifact(rec.mode, None, self._load(name, "head.bin", load_head))
         if (tdir / "fusion.bin").exists():  # fusion routing never reads adapter.bin
-            self._log_access(name, "fusion.bin", "read")
-            bundle["omega"] = load_fusion(tdir / "fusion.bin")
-            members = []
-            for f in sorted(tdir.glob("member_*.bin")):
-                self._log_access(name, f.name, "read")
-                members.append(load_adapter(f))
-            bundle["members"] = members
+            artifact.omega = self._load(name, "fusion.bin", load_fusion)
+            artifact.fusion_members = [self._load(name, f.name, load_adapter)
+                                       for f in sorted(tdir.glob("member_*.bin"))]
         elif rec.adapter_path:
-            self._log_access(name, "adapter.bin", "read")
-            bundle["adapter"] = load_adapter(rec.adapter_path)
+            artifact.adapter = self._load(name, "adapter.bin", load_adapter)
         if (tdir / "backbone.bin").exists():
-            self._log_access(name, "backbone.bin", "read")
-            bundle["backbone"] = load_backbone(tdir / "backbone.bin")
-        self._cache[name] = bundle
+            artifact.backbone = self._load(name, "backbone.bin", load_backbone)
+        self._cache[name] = artifact
         while len(self._cache) > self._cache_capacity:
             self._cache.popitem(last=False)
-        return bundle
+        return artifact
 
     def route(self, tenant_name: str, query: str, candidate: str) -> float:
         """Load (cached) the tenant's artifacts and classify the pair.
@@ -299,26 +293,15 @@ class Platform:
         Distill-mode and adapter-mode tenants go through the identical
         single-adapter path; only AdapterFusion tenants keep a fusion layer.
         """
-        bundle = self._load_bundle(tenant_name)
-        bb = bundle["backbone"] or self.backbone
-        cfg = bb.config
+        cfg = self.backbone.config
         ids, mask = tokenize_pair(query, candidate, cfg.max_seq_len, cfg.vocab_size)
-        if bundle["omega"] is not None:
-            return predict_prob(bb, ids, mask, bundle["head"],
-                                omega=bundle["omega"], fusion_members=bundle["members"])
-        return predict_prob(bb, ids, mask, bundle["head"], adapter=bundle["adapter"])
+        return predict_prob(self.backbone, self._load_bundle(tenant_name), ids, mask)
 
     def evaluate_tenant(self, name: str, split: str = "test"):
-        """Re-evaluate a tenant on its stored dataset split via routing."""
-        from .metrics import accuracy as _accuracy
-        from .trainer import evaluate_predictions
-        rec = self.records.get(name)
-        if rec is None:
-            raise NotFoundError(f"unknown tenant {name!r}")
+        """Re-evaluate a tenant's loaded artifact on its stored dataset split."""
+        artifact = self._load_bundle(name)
         pairs = load_labeled_pairs(self.tenant_dir(name) / "data.tsv")
-        examples = pairs.split_of(split)
-        probs = [self.route(name, e.query, e.candidate) for e in examples]
-        return evaluate_predictions(probs, [e.label for e in examples])
+        return evaluate_artifact(self.backbone, artifact, pairs.split_of(split))
 
 
 def _write_config(path: Path, config: BackboneConfig) -> None:

@@ -43,7 +43,6 @@ class TrainConfig:
     seed: int = 0
     mode: str = "adapter_distill"
     bottleneck_dim: int = 8
-    include_self: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -58,12 +57,12 @@ class TrainConfig:
 class EvalReport:
     accuracy: float
     auc: float | None
-    split_sizes: dict[str, int] = field(default_factory=dict)
-    loss_curves: list[dict] = field(default_factory=list)
 
 
 @dataclass
 class TrainedArtifact:
+    """A tenant's serving weights, from training through persisting to
+    loading; `predict_prob` runs them."""
     mode: str
     adapter: AdapterWeights | None
     head: HeadWeights
@@ -157,7 +156,7 @@ def _ce_loss(bb: Backbone, head: HeadWeights, hook):
     def loss_fn(batch):
         total = None
         for ids, mask, label in batch:
-            _, pooled = bb.forward(ids, mask, adapter_hook=hook)
+            pooled = bb.forward(ids, mask, adapter_hook=hook)
             ce = T.bce_with_logits(classify_logit(pooled, head), float(label))
             total = ce if total is None else total + ce
         loss = total * (1.0 / len(batch))
@@ -245,9 +244,8 @@ def select_eta(train_examples, val_examples, bb, student_first, teachers,
         trained = train_stage2(train_examples, bb, student_first, teachers,
                                config, eta, head=head)
         adapter, head2, _ = trained
-        report = evaluate_predictions(
-            predict_many(bb, val_examples, head=head2, adapter=adapter),
-            [e.label for e in val_examples])
+        report = evaluate_artifact(bb, TrainedArtifact(config.mode, adapter, head2),
+                                   val_examples)
         trials.append((eta, report.accuracy, report.auc))
         key = (report.accuracy, report.auc if report.auc is not None else -1.0, -eta)
         if best is None or key > best[0]:
@@ -258,32 +256,24 @@ def select_eta(train_examples, val_examples, bb, student_first, teachers,
 # ---------------------------------------------------------------------------
 # inference + evaluation
 
-def predict_prob(bb: Backbone, ids, mask, head: HeadWeights,
-                 adapter: AdapterWeights | None = None,
-                 omega: FusionWeights | None = None,
-                 fusion_members: list[AdapterWeights] | None = None) -> float:
-    """Single forward pass; returns the positive-match probability."""
+def predict_prob(bb: Backbone, artifact: TrainedArtifact, ids, mask) -> float:
+    """Single forward pass of one tenant's serving weights; returns the
+    positive-match probability.  A tenant-private encoder (full mode)
+    replaces the shared encoder `bb`."""
+    encoder = artifact.backbone if artifact.backbone is not None else bb
+    hook = make_adapter_hook(artifact.adapter, artifact.omega, artifact.fusion_members)
     with no_grad():
-        _, pooled = bb.forward(ids, mask,
-                               adapter_hook=make_adapter_hook(adapter, omega, fusion_members))
-        logit = classify_logit(pooled, head)
+        logit = classify_logit(encoder.forward(ids, mask, adapter_hook=hook), artifact.head)
         return float(1.0 / (1.0 + np.exp(-logit.item())))
 
 
-def predict_many(bb: Backbone, examples: list[Example], head: HeadWeights,
-                 adapter: AdapterWeights | None = None,
-                 omega: FusionWeights | None = None,
-                 fusion_members: list[AdapterWeights] | None = None) -> list[float]:
-    cfg = bb.config
-    out = []
-    for e in examples:
-        ids, mask = tokenize_pair(e.query, e.candidate, cfg.max_seq_len, cfg.vocab_size)
-        out.append(predict_prob(bb, ids, mask, head, adapter, omega, fusion_members))
-    return out
+def predict_many(bb: Backbone, artifact: TrainedArtifact,
+                 examples: list[Example]) -> list[float]:
+    return [predict_prob(bb, artifact, ids, mask)
+            for ids, mask, _ in encode_examples(examples, bb.config)]
 
 
-def evaluate_predictions(probabilities: list[float], labels: list[int],
-                         split_sizes: dict[str, int] | None = None) -> EvalReport:
+def evaluate_predictions(probabilities: list[float], labels: list[int]) -> EvalReport:
     """Accuracy on thresholded labels, AUC on raw probabilities.  AUC is
     None when the set is single-class."""
     if not labels:
@@ -293,17 +283,13 @@ def evaluate_predictions(probabilities: list[float], labels: list[int],
         area = _auc(probabilities, labels)
     except UsageError:
         area = None
-    return EvalReport(accuracy=acc, auc=area, split_sizes=split_sizes or {})
+    return EvalReport(accuracy=acc, auc=area)
 
 
 def evaluate_artifact(bb: Backbone, artifact: TrainedArtifact,
                       examples: list[Example]) -> EvalReport:
-    backbone = artifact.backbone if artifact.backbone is not None else bb
-    probs = predict_many(backbone, examples, artifact.head, adapter=artifact.adapter,
-                         omega=artifact.omega, fusion_members=artifact.fusion_members)
-    report = evaluate_predictions(probs, [e.label for e in examples])
-    report.loss_curves = artifact.history
-    return report
+    return evaluate_predictions(predict_many(bb, artifact, examples),
+                                [e.label for e in examples])
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +351,10 @@ def train_tenant(train_examples, val_examples, bb: Backbone, config: TrainConfig
     if mode in ("full", "head", "adapter", "adapter_fusion"):
         return train_baseline(mode, train_examples, bb, config, teacher_finals)
 
-    include_self = config.include_self and mode != "adapter_distill_star"
     student_first, head1, history1 = train_stage1(train_examples, bb, config)
     student_first.set_trainable(False)
     teachers = make_teacher_set(teacher_finals,
-                                student_first if include_self else None)
+                                None if mode == "adapter_distill_star" else student_first)
     grid = config.eta if isinstance(config.eta, list) else [config.eta]
     if len(grid) > 1 and len(teachers) > 0:
         eta, _, (adapter, head, history2) = select_eta(

@@ -5,9 +5,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import adapterdistill.artifacts as artifacts
-from adapterdistill.adapter import init_adapter
+from adapterdistill.adapter import backbone_param_count, init_adapter
 from adapterdistill.artifacts import (adapter_file_size, file_hash,
                                       load_adapter, load_backbone,
                                       load_fusion, load_head, save_adapter,
@@ -29,6 +31,16 @@ def random_adapter(name="tenant-x", stage_final=True):
     if stage_final:
         a.promote()
     return a
+
+
+def write_signed(path, body: bytes) -> None:
+    """A file whose trailing SHA-256 is valid, whatever the body holds."""
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+VERSION = struct.pack("<H", 1)
+LOADERS = {"adapter": (load_adapter, b"ADPT"), "head": (load_head, b"HEAD"),
+           "fusion": (load_fusion, b"FUSN"), "backbone": (load_backbone, b"BKBN")}
 
 
 class TestAdapterFormat:
@@ -120,8 +132,7 @@ class TestOtherFormats:
 
     @staticmethod
     def write_backbone(path, header, payload=b""):
-        body = b"BKBN" + struct.pack("<H", 1) + header + payload
-        path.write_bytes(body + hashlib.sha256(body).digest())
+        write_signed(path, b"BKBN" + VERSION + header + payload)
 
     @pytest.mark.parametrize("vocab_size", [300_000, 2**32 - 1])
     def test_oversized_backbone_header_rejected_before_allocating(self, tmp_path,
@@ -155,7 +166,70 @@ class TestOtherFormats:
         with pytest.raises(FormatError):
             load_backbone(path)
 
+    def test_backbone_header_with_reserved_ids_only(self, tmp_path):
+        # vocab_size 3 holds only the reserved ids, so no token could be hashed;
+        # the payload is the size such a header implies.
+        header = (3, 8, 2, 2, 16, 6, 0)
+        count = backbone_param_count(BackboneConfig(4, *header[1:])) - 8  # one row of d=8
+        path = tmp_path / "b.bin"
+        self.write_backbone(path, struct.pack("<7I", *header), bytes(8 * count))
+        with pytest.raises(FormatError, match="reserved"):
+            load_backbone(path)
+
     def test_file_hash_matches_trailing_digest_input(self, tmp_path):
         path = tmp_path / "a.bin"
         save_adapter(random_adapter(), path)
         assert file_hash(path) == file_hash(path)
+
+
+class TestMalformedBodies:
+    """Bodies with a valid trailer that the format still forbids."""
+
+    @pytest.mark.parametrize("kind", ["adapter", "head", "fusion"])
+    def test_header_ending_after_version(self, tmp_path, kind):
+        loader, magic = LOADERS[kind]
+        write_signed(tmp_path / "x.bin", magic + VERSION)
+        with pytest.raises(FormatError, match="truncated"):
+            loader(tmp_path / "x.bin")
+
+    @pytest.mark.parametrize("kind", ["adapter", "head", "fusion"])
+    def test_name_not_utf8(self, tmp_path, kind):
+        loader, magic = LOADERS[kind]
+        write_signed(tmp_path / "x.bin", magic + VERSION + struct.pack("<H", 2) + b"\xff\xfe")
+        with pytest.raises(FormatError, match="UTF-8"):
+            loader(tmp_path / "x.bin")
+
+    def test_fusion_without_layers(self, tmp_path):
+        write_signed(tmp_path / "f.bin",
+                     b"FUSN" + VERSION + struct.pack("<H", 1) + b"t" + struct.pack("<HI", 0, 8))
+        with pytest.raises(FormatError, match="L=0"):
+            load_fusion(tmp_path / "f.bin")
+
+    @pytest.mark.parametrize("kind", list(LOADERS))
+    def test_trailing_bytes_after_payload(self, tmp_path, kind):
+        path = tmp_path / "x.bin"
+        if kind == "adapter":
+            save_adapter(random_adapter(), path)
+        elif kind == "head":
+            save_head(new_head(SMALL.hidden_dim, np.random.default_rng(0)), "t", path)
+        elif kind == "fusion":
+            save_fusion(init_fusion(SMALL.hidden_dim, SMALL.num_layers, seed=1), "t", path)
+        else:
+            save_backbone(Backbone(SMALL), path)
+        loader = LOADERS[kind][0]
+        loader(path)
+        write_signed(path, path.read_bytes()[:-32] + b"\x00")
+        with pytest.raises(FormatError, match="payload bytes"):
+            loader(path)
+
+    @pytest.mark.parametrize("kind", list(LOADERS))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tail=st.binary(max_size=250), with_header=st.booleans())
+    def test_any_signed_body_loads_or_is_rejected(self, tmp_path, kind, tail, with_header):
+        loader, magic = LOADERS[kind]
+        write_signed(tmp_path / "x.bin", magic + VERSION + tail if with_header else tail)
+        try:
+            loader(tmp_path / "x.bin")
+        except (FormatError, IntegrityError):
+            pass

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from adapterdistill import tensor as T
-from adapterdistill.backbone import (CLS_ID, PAD_ID, SEP_ID, Backbone,
-                                     BackboneConfig, classify_logit,
+from adapterdistill.backbone import (CLS_ID, NUM_RESERVED, PAD_ID, SEP_ID,
+                                     Backbone, BackboneConfig, classify_logit,
                                      hash_token, new_head, tokenize_pair)
 from adapterdistill.errors import ConfigurationError, DimensionError
 
@@ -21,6 +21,16 @@ class TestConfig:
     def test_zero_heads_is_configuration_error(self):
         with pytest.raises(ConfigurationError, match="num_heads must be positive"):
             BackboneConfig(num_heads=0)
+
+    @pytest.mark.parametrize("vocab_size", range(1, NUM_RESERVED + 1))
+    def test_vocab_must_exceed_reserved_ids(self, vocab_size):
+        with pytest.raises(ConfigurationError, match="reserved"):
+            BackboneConfig(vocab_size=vocab_size)
+
+    def test_smallest_vocab_tokenizes(self):
+        config = BackboneConfig(vocab_size=NUM_RESERVED + 1)
+        ids, _ = tokenize_pair("a b", "c", 8, config.vocab_size)
+        assert ids[1] == NUM_RESERVED
 
     def test_min_sequence_length(self):
         with pytest.raises(ConfigurationError):
@@ -80,9 +90,8 @@ class TestBackbone:
     def test_forward_deterministic_and_finite(self):
         bb = Backbone(SMALL)
         ids, mask = tokenize_pair("alpha beta", "gamma", 10, SMALL.vocab_size)
-        h1, pooled1 = bb.forward(ids, mask)
-        h2, pooled2 = bb.forward(ids, mask)
-        assert len(h1) == SMALL.num_layers
+        pooled1 = bb.forward(ids, mask)
+        pooled2 = bb.forward(ids, mask)
         assert np.isfinite(pooled1.data).all()
         assert (pooled1.data == pooled2.data).all()
 
@@ -114,7 +123,7 @@ class TestHead:
         bb = Backbone(SMALL)
         head = new_head(SMALL.hidden_dim, np.random.default_rng(0))
         ids, mask = tokenize_pair("q", "r", 10, SMALL.vocab_size)
-        _, pooled = bb.forward(ids, mask)
+        pooled = bb.forward(ids, mask)
         p = T.sigmoid(classify_logit(pooled, head)).item()
         assert 0.0 < p < 1.0
 
@@ -122,6 +131,6 @@ class TestHead:
         bb = Backbone(SMALL)
         head = new_head(SMALL.hidden_dim + 2, np.random.default_rng(0))
         ids, mask = tokenize_pair("q", "r", 10, SMALL.vocab_size)
-        _, pooled = bb.forward(ids, mask)
+        pooled = bb.forward(ids, mask)
         with pytest.raises(DimensionError):
             classify_logit(pooled, head)

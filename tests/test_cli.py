@@ -82,10 +82,9 @@ class TestRegister:
         assert err.startswith("error:") and "platform.lock" in err
         assert "Traceback" not in err
 
-    def test_no_self_teacher_flag_accepted(self, tmp_path, kb_file, capsys):
-        code, _, _ = self.register(tmp_path, kb_file, capsys,
-                                   extra=["--no-self-teacher"])
-        assert code == 0
+    def test_distill_star_mode_registers(self, tmp_path, kb_file, capsys):
+        code, out, _ = self.register(tmp_path, kb_file, capsys, mode="adapter_distill_star")
+        assert code == 0 and "mode=adapter_distill_star" in out
 
 
 class TestCapacity:

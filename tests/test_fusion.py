@@ -164,7 +164,7 @@ class TestCombinedLoss:
         got, ce, distill = combined_loss(self.batch, self.bb, self.student, self.head,
                                          self.teachers, self.omega, eta=0.0)
         ids, mask, label = self.batch[0]
-        _, pooled = self.bb.forward(
+        pooled = self.bb.forward(
             ids, mask, adapter_hook=lambda li, h: adapter_forward(h, self.student, li))
         want = T.bce_with_logits(classify_logit(pooled, self.head), float(label))
         assert got.item() == want.item() == ce and distill == 0.0

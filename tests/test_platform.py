@@ -1,8 +1,11 @@
 """Multi-tenant platform: capacity accounting, registration, routing."""
 
+import shutil
+
 import numpy as np
 import pytest
 
+from adapterdistill.artifacts import load_adapter, save_adapter
 from adapterdistill.backbone import BackboneConfig
 from adapterdistill.errors import (ConfigurationError, ConflictError,
                                    IntegrityError, NotFoundError, UsageError)
@@ -199,6 +202,53 @@ class TestRouting:
         assert again.accuracy == report.accuracy and again.auc == report.auc
 
 
+class TestTenantDirectory:
+    """Artifacts are read from the tenant's directory under the platform
+    root, not from the paths the registry held at registration."""
+
+    def test_registry_holds_bare_file_names(self, tmp_path, kbs):
+        rec, _ = Platform(tmp_path, SMALL).register_tenant("alpha", kbs[0], "adapter",
+                                                           quick_config())
+        assert (rec.adapter_path, rec.head_path) == ("adapter.bin", "head.bin")
+        line = (tmp_path / "registry.txt").read_text().split("\t")
+        assert line[2:4] == ["adapter.bin", "head.bin"]
+
+    def test_relative_root_opened_from_another_directory(self, tmp_path, kbs, monkeypatch):
+        (tmp_path / "a").mkdir()
+        monkeypatch.chdir(tmp_path / "a")
+        plat = Platform("plat", SMALL)
+        plat.register_tenant("alpha", kbs[0], "adapter", quick_config())
+        before = plat.route("alpha", "q", "c")
+        monkeypatch.chdir(tmp_path)
+        moved = Platform("a/plat")
+        assert moved.route("alpha", "q", "c") == before
+        moved.register_tenant("beta", kbs[1], "adapter_distill", quick_config(seed=1))
+
+    def test_copied_platform_reads_only_its_own_files(self, tmp_path, kbs):
+        orig = Platform(tmp_path / "orig", SMALL)
+        orig.register_tenant("alpha", kbs[0], "adapter", quick_config())
+        before = orig.route("alpha", "q", "c")
+        shutil.copytree(tmp_path / "orig", tmp_path / "copy")
+        path = orig.tenant_dir("alpha") / "adapter.bin"
+        changed = load_adapter(path)
+        for p in changed.params():
+            p.data += 0.1
+        save_adapter(changed, path)
+        with pytest.raises(IntegrityError):  # the original's hash no longer matches
+            Platform(tmp_path / "orig").route("alpha", "q", "c")
+        assert Platform(tmp_path / "copy").route("alpha", "q", "c") == before
+
+    def test_records_with_full_paths_still_load(self, tmp_path, kbs):
+        plat = Platform(tmp_path, SMALL)
+        plat.register_tenant("alpha", kbs[0], "adapter", quick_config())
+        before = plat.route("alpha", "q", "c")
+        registry = tmp_path / "registry.txt"
+        cols = registry.read_text().rstrip("\n").split("\t")
+        cols[2:4] = ["/elsewhere/tenants/alpha/adapter.bin", "/elsewhere/tenants/alpha/head.bin"]
+        registry.write_text("\t".join(cols) + "\n")
+        assert Platform(tmp_path).route("alpha", "q", "c") == before
+
+
 class TestRecord:
     def test_line_round_trip(self):
         rec = TenantRecord("t", 3, "a.bin", "h.bin", "ff" * 32, "adapter",
@@ -208,6 +258,13 @@ class TestRecord:
     def test_malformed_line_rejected(self):
         with pytest.raises(UsageError):
             TenantRecord.from_line("too\tfew\tfields")
+
+    def test_config_file_with_reserved_ids_only_rejected(self, tmp_path):
+        Platform(tmp_path, SMALL)
+        cfg = tmp_path / "backbone.cfg"
+        cfg.write_text(cfg.read_text().replace("vocab_size=1024", "vocab_size=3"))
+        with pytest.raises(ConfigurationError, match="reserved"):
+            Platform(tmp_path)
 
     def test_config_persisted_and_reloaded(self, tmp_path):
         Platform(tmp_path, SMALL)

@@ -266,7 +266,7 @@ class TestEvaluate:
         art = train_baseline("adapter", tiny_data.split_of("train"), backbone,
                              tiny_config(mode="adapter"))
         test = tiny_data.split_of("test")
-        probs = predict_many(backbone, test, art.head, adapter=art.adapter)
+        probs = predict_many(backbone, art, test)
         report = evaluate_artifact(backbone, art, test)
         assert evaluate_predictions(probs, [e.label for e in test]).accuracy \
             == report.accuracy
