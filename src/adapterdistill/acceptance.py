@@ -208,7 +208,7 @@ def c04_fusion_attention_oracle() -> CriterionResult:
         h = rng.normal(size=(tlen, d))
         zs = [rng.normal(size=(tlen, d)) for _ in range(n)]
         q_mat, k_mat, v_mat = (rng.normal(size=(d, d)) for _ in range(3))
-        o, p = fusion_attend(Tensor(h), [Tensor(z) for z in zs],
+        o, p = fusion_attend(Tensor(h), Tensor(np.stack(zs)),
                              (Tensor(q_mat), Tensor(k_mat), Tensor(v_mat)))
         o_ref, p_ref = fusion_attend_oracle(h, zs, q_mat, k_mat, v_mat)
         worst = max(worst, float(np.abs(o.data - o_ref).max()),
@@ -230,7 +230,7 @@ def c05_distill_identity() -> CriterionResult:
     o_layers = []
     for z in z_star:
         o, _ = fusion_attend(Tensor(rng.normal(size=(tlen, d))),
-                             [Tensor(z), Tensor(z)], omega_layer)
+                             Tensor(np.stack([z, z])), omega_layer)
         o_layers.append(o)
     mask = np.ones(tlen)
     identity_loss = distill_loss(o_layers, [Tensor(z) for z in z_star], mask).item()

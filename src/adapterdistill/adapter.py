@@ -2,7 +2,9 @@
 
 One adapter block per transformer layer: down-projection, GELU,
 up-projection, residual.  Up-projections start at zero so a fresh adapter
-is an exact identity on the backbone output.
+is an exact identity on the backbone output.  `stack_adapters` puts N
+frozen adapters on one leading axis, so one `adapter_forward` runs them
+all.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import BackboneConfig
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, DimensionError, UsageError
 from .tensor import Tensor
 
 STAGE_FIRST = "first"
@@ -44,7 +46,7 @@ class AdapterWeights:
 
     @property
     def hidden_dim(self) -> int:
-        return self.layers[0].down.data.shape[0]
+        return self.layers[0].down.data.shape[-2]
 
     def params(self) -> list[Tensor]:
         out = []
@@ -96,8 +98,40 @@ def init_adapter(tenant_name: str, config: BackboneConfig, bottleneck_dim: int =
     return w
 
 
+def stack_adapters(adapters: list[AdapterWeights]) -> AdapterWeights:
+    """N frozen adapters as one, with (N, d, m), (N, 1, m), (N, m, d) and
+    (N, 1, d) weights per layer: `adapter_forward` on the stack returns the
+    N outputs as one (N, T, d) tensor.
+
+    m is the largest member bottleneck; a narrower member is padded with
+    zero down columns and zero up rows, which add exactly zero to its
+    output.  The stack holds copies, named after its members.
+    """
+    if not adapters:
+        raise UsageError("stack_adapters needs at least one adapter")
+    if any(p.requires_grad for a in adapters for p in a.params()):
+        raise UsageError("only frozen adapters can be stacked")
+    first = adapters[0]
+    if any((a.num_layers, a.hidden_dim) != (first.num_layers, first.hidden_dim)
+           for a in adapters):
+        raise DimensionError("stacked adapters must share layer count and hidden dim")
+    n, d, m = len(adapters), first.hidden_dim, max(a.bottleneck_dim for a in adapters)
+    out = AdapterWeights("+".join(a.tenant_name for a in adapters), m)
+    for li in range(first.num_layers):
+        down, down_bias = np.zeros((n, d, m)), np.zeros((n, 1, m))
+        up, up_bias = np.zeros((n, m, d)), np.zeros((n, 1, d))
+        for i, a in enumerate(adapters):
+            lw, k = a.layers[li], a.bottleneck_dim
+            down[i, :, :k], down_bias[i, 0, :k] = lw.down.data, lw.down_bias.data
+            up[i, :k], up_bias[i, 0] = lw.up.data, lw.up_bias.data
+        out.layers.append(AdapterLayer(Tensor(down), Tensor(down_bias),
+                                       Tensor(up), Tensor(up_bias)))
+    return out
+
+
 def adapter_forward(h: Tensor, w: AdapterWeights, layer: int) -> Tensor:
-    """z = h + up(gelu(down(h))) for the given layer (0-based)."""
+    """z = h + up(gelu(down(h))) for the given layer (0-based).  For a
+    stack of N adapters, h (T, d) gives z (N, T, d)."""
     if not 0 <= layer < w.num_layers:
         raise UsageError(f"layer {layer} out of range 0..{w.num_layers - 1}")
     lw = w.layers[layer]
@@ -110,7 +144,7 @@ def adapter_layer_param_count(d: int, m: int) -> int:
 
 
 def added_params_fraction(adapter: AdapterWeights | None, backbone: BackboneConfig,
-                          include_fusion: bool = False, num_teachers: int = 1,
+                          include_fusion: bool = False,
                           bottleneck_dim: int | None = None) -> float:
     """Trainable added parameters as a percentage of backbone parameters.
 

@@ -111,7 +111,7 @@ def load_adapter(path) -> AdapterWeights:
     if stage_byte not in (0, 1):
         raise FormatError(f"{path}: bad stage byte {stage_byte}")
     L, d, m = _unpack(buf, path, "<HII")
-    if m >= d or L == 0:
+    if not 0 < m < d or L == 0:
         raise FormatError(f"{path}: inconsistent dimensions L={L} d={d} m={m}")
     _check_payload(buf, path, L * (2 * d * m + m + d))
     w = AdapterWeights(name, m, stage=STAGE_FINAL if stage_byte else STAGE_FIRST)
@@ -151,6 +151,8 @@ def load_head(path) -> HeadWeights:
     buf = _read_checked(path, MAGIC_HEAD)
     _read_name(buf, path)
     (d,) = _unpack(buf, path, "<I")
+    if d == 0:
+        raise FormatError(f"{path}: zero-width head")
     _check_payload(buf, path, d + 1)
     return HeadWeights(w=Tensor(_read_array(buf, d, 1)), b=Tensor(_read_array(buf, 1, 1)))
 

@@ -59,7 +59,13 @@ class BackboneConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BackboneConfig":
-        return cls(**{k: int(v) for k, v in d.items()})
+        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ConfigurationError(f"unknown backbone config keys {unknown}")
+        try:
+            return cls(**{k: int(v) for k, v in d.items()})
+        except ValueError:
+            raise ConfigurationError(f"backbone config values must be integers: {d}") from None
 
 
 def hash_token(token: str, vocab_size: int) -> int:
@@ -188,31 +194,33 @@ class Backbone:
     # -- forward ----------------------------------------------------------
 
     def _attention(self, x: Tensor, layer: LayerWeights, mask: np.ndarray) -> Tensor:
+        """All heads at once: q and v as (H, T, dh), k as (H, dh, T)."""
         cfg = self.config
-        d, H = cfg.hidden_dim, cfg.num_heads
+        tlen, d, H = len(mask), cfg.hidden_dim, cfg.num_heads
         dh = d // H
-        q = T.matmul(x, layer.wq) + layer.bq
-        k = T.matmul(x, layer.wk) + layer.bk
-        v = T.matmul(x, layer.wv) + layer.bv
-        bias = np.where(mask > 0, 0.0, -1e9)[None, :]  # additive key mask
-        heads = []
-        for h in range(H):
-            qh = T.cols(q, h * dh, (h + 1) * dh)
-            kh = T.cols(k, h * dh, (h + 1) * dh)
-            vh = T.cols(v, h * dh, (h + 1) * dh)
-            scores = T.matmul(qh, T.transpose(kh)) * (1.0 / np.sqrt(dh))
-            weights = T.softmax(scores + Tensor(bias))
-            heads.append(T.matmul(weights, vh))
-        return T.matmul(T.concat_cols(heads), layer.wo) + layer.bo
+
+        def split(t: Tensor, axes) -> Tensor:
+            return T.transpose(T.reshape(t, (tlen, H, dh)), axes)
+
+        q = split(T.matmul(x, layer.wq) + layer.bq, (1, 0, 2))
+        k = split(T.matmul(x, layer.wk) + layer.bk, (1, 2, 0))
+        v = split(T.matmul(x, layer.wv) + layer.bv, (1, 0, 2))
+        bias = Tensor(np.where(mask > 0, 0.0, -1e9)[None, None, :])  # additive key mask
+        weights = T.softmax(T.matmul(q, k) * (1.0 / np.sqrt(dh)) + bias)
+        merged = T.reshape(T.transpose(T.matmul(weights, v), (1, 0, 2)), (tlen, d))
+        return T.matmul(merged, layer.wo) + layer.bo
 
     def forward(self, ids: np.ndarray, mask: np.ndarray, adapter_hook=None):
         """Run the encoder.
 
         adapter_hook(layer_index, h) may transform the post-FFN hidden state
         h (the adapter insertion point); identity when None.  Returns the
-        pooled representation.
+        pooled representation.  Positions after the last real token are
+        cut first (see `real_length`): no real position attends to them
+        and only row 0 is pooled, so the result does not depend on them.
         """
-        tlen = len(ids)
+        tlen = real_length(mask)
+        ids, mask = ids[:tlen], mask[:tlen]
         x = T.embedding(self.token_emb, ids) + T.rows(self.pos_emb, 0, tlen)
         for li, layer in enumerate(self.layers):
             a = T.layernorm(x + self._attention(x, layer, mask), layer.ln1_g, layer.ln1_b)
@@ -221,6 +229,17 @@ class Backbone:
             x = T.layernorm(a + z, layer.ln2_g, layer.ln2_b)
         first = T.rows(x, 0, 1)
         return T.tanh(T.matmul(first, self.pool_w) + self.pool_b)
+
+
+def real_length(mask: np.ndarray) -> int:
+    """Length of `mask` up to and including its last real (nonzero) position.
+
+    Padding after that position is masked out of every attention and never
+    pooled, so a forward pass may drop it.  Interior zeros are kept.  A mask
+    with no real position keeps its full length.
+    """
+    real = np.flatnonzero(mask)
+    return int(real[-1]) + 1 if real.size else len(mask)
 
 
 def classify_logit(pooled: Tensor, head: HeadWeights) -> Tensor:

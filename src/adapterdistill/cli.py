@@ -49,13 +49,16 @@ def _hash_inputs(paths: list[str]) -> str:
     h = hashlib.sha256()
     for p in sorted(paths):
         h.update(p.encode("utf-8"))
-        if Path(p).is_file():
-            h.update(Path(p).read_bytes())
+        h.update(Path(p).read_bytes())
     return h.hexdigest()
 
 
 def _start_run(args, input_paths: list[str]) -> Path | None:
-    """Create the write-once run directory and write the manifest first."""
+    """Check that every input file exists, then create the write-once run
+    directory and write the manifest first."""
+    for p in input_paths:
+        if not Path(p).is_file():
+            raise NotFoundError(f"input file not found: {p}")
     if args.run_dir is None:
         return None
     run_dir = Path(args.run_dir)

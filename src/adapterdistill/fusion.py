@@ -3,8 +3,10 @@
 Per layer, Query/Key/Value matrices attend from the backbone hidden state
 over the outputs of N frozen teacher adapters; the fused output is pulled
 toward the live student adapter output by a squared-difference loss.  The
-fusion weights exist only during training and are never part of a tenant's
-inference artifact.
+teachers run as one stacked adapter and their outputs are attended over as
+one (N, T, d) tensor, so a layer costs the same number of tape ops
+whatever N is.  The fusion weights exist only during training and are
+never part of a tenant's inference artifact.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .adapter import AdapterWeights, STAGE_FINAL, STAGE_FIRST, adapter_forward
-from .backbone import Backbone, classify_logit
+from .adapter import (AdapterWeights, STAGE_FINAL, STAGE_FIRST, adapter_forward,
+                      stack_adapters)
+from .backbone import Backbone, classify_logit, real_length
 from .errors import ConfigurationError, UsageError
 from .tensor import Tensor
 
@@ -54,9 +57,12 @@ def init_fusion(hidden_dim: int, num_layers: int, seed: int = 0,
 @dataclass
 class TeacherSet:
     """Frozen teacher adapters, in registration order; optionally the
-    student's own frozen first-stage copy as the last member."""
+    student's own frozen first-stage copy as the last member.  `stacked`
+    is all of them as one adapter (see `stack_adapters`), None when there
+    are none."""
     adapters: list[AdapterWeights] = field(default_factory=list)
     include_self: bool = True
+    stacked: AdapterWeights | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         for i, a in enumerate(self.adapters):
@@ -68,6 +74,8 @@ class TeacherSet:
                 raise UsageError("self-teacher must be the first-stage copy")
             if not last and a.stage != STAGE_FINAL:
                 raise UsageError(f"teacher {a.tenant_name!r} must be a final adapter")
+        if self.adapters:
+            self.stacked = stack_adapters(self.adapters)
 
     def __len__(self) -> int:
         return len(self.adapters)
@@ -83,30 +91,24 @@ def make_teacher_set(finals: list[AdapterWeights], self_first: AdapterWeights | 
     return TeacherSet(adapters=teachers, include_self=include_self)
 
 
-def fusion_attend(h: Tensor, teacher_outputs: list[Tensor],
+def fusion_attend(h: Tensor, z: Tensor,
                   omega_layer: tuple[Tensor, Tensor, Tensor]) -> tuple[Tensor, Tensor]:
-    """Attention over teacher outputs for one layer.
+    """Attention over stacked teacher outputs z [N x T x d] for one layer.
 
     Per token: query = h Q, key_n = z_n K, value_n = z_n V; the weights p
     are a softmax over teachers of <query, key_n>, and the output is the
     p-weighted sum of values.  Returns (o [T x d], p [T x N]).
     """
-    if not teacher_outputs:
-        raise UsageError("fusion_attend needs at least one teacher output")
+    if z.data.ndim != 3 or z.data.shape[0] == 0:
+        raise UsageError(f"fusion_attend needs stacked teacher outputs (N >= 1, T, d), "
+                         f"got shape {z.data.shape}")
     q_mat, k_mat, v_mat = omega_layer
-    d = h.data.shape[1]
-    ones = Tensor(np.ones((d, 1)))
-    q = T.matmul(h, q_mat)
-    values, logits = [], []
-    for z in teacher_outputs:
-        values.append(T.matmul(z, v_mat))
-        logits.append(T.matmul(T.mul(q, T.matmul(z, k_mat)), ones))
-    p = T.softmax(T.concat_cols(logits))
-    o = None
-    for n, v in enumerate(values):
-        term = T.mul(T.cols(p, n, n + 1), v)
-        o = term if o is None else o + term
-    return o, p
+    n, tlen, d = z.data.shape
+    zt = T.transpose(z, (1, 0, 2))                                   # (T, N, d)
+    q = T.reshape(T.matmul(h, q_mat), (tlen, 1, d))
+    p = T.softmax(T.matmul(q, T.transpose(T.matmul(zt, k_mat))))    # (T, 1, N)
+    o = T.matmul(p, T.matmul(zt, v_mat))                             # (T, 1, d)
+    return T.reshape(o, (tlen, d)), T.reshape(p, (tlen, n))
 
 
 def distill_loss(o_per_layer: list[Tensor], z_per_layer: list[Tensor],
@@ -140,10 +142,10 @@ def make_adapter_hook(adapter: AdapterWeights | None = None,
     if omega is not None:
         if not members:
             raise UsageError("fusion path needs member adapters")
+        stacked = stack_adapters(members)
 
         def fused(li: int, h: Tensor) -> Tensor:
-            o, _ = fusion_attend(h, [adapter_forward(h, a, li) for a in members],
-                                 omega.layers[li])
+            o, _ = fusion_attend(h, adapter_forward(h, stacked, li), omega.layers[li])
             return o
         return fused
     if adapter is not None:
@@ -156,25 +158,28 @@ def distill_example_forward(bb: Backbone, ids: np.ndarray, mask: np.ndarray,
                             omega: FusionWeights):
     """One stage-2 forward pass.
 
-    The main (inference) path runs the student adapter; teacher outputs and
-    the fused output are computed on the side at every layer.  Returns
-    (pooled, o_per_layer, z_per_layer, p_per_layer).
+    The main (inference) path runs the student adapter; the stacked teacher
+    outputs and the fused output are computed on the side at every layer.
+    The encoder drops the padding after the last real token, and so does
+    the mask given to `distill_loss`.  Returns (pooled, distillation loss,
+    p_per_layer).
     """
+    if teachers.stacked is None:
+        raise UsageError("distillation needs at least one teacher")
     o_list: list[Tensor] = []
     z_list: list[Tensor] = []
     p_list: list[Tensor] = []
 
     def hook(li: int, h: Tensor) -> Tensor:
         z_student = adapter_forward(h, student, li)
-        zs = [adapter_forward(h, t, li) for t in teachers.adapters]
-        o, p = fusion_attend(h, zs, omega.layers[li])
+        o, p = fusion_attend(h, adapter_forward(h, teachers.stacked, li), omega.layers[li])
         o_list.append(o)
         z_list.append(z_student)
         p_list.append(p)
         return z_student
 
     pooled = bb.forward(ids, mask, adapter_hook=hook)
-    return pooled, o_list, z_list, p_list
+    return pooled, distill_loss(o_list, z_list, mask[:real_length(mask)]), p_list
 
 
 def combined_loss(batch, bb: Backbone, student: AdapterWeights, head,
@@ -200,9 +205,7 @@ def combined_loss(batch, bb: Backbone, student: AdapterWeights, head,
         if eta == 0:
             pooled = bb.forward(ids, mask, adapter_hook=hook)
         else:
-            pooled, o_list, z_list, _ = distill_example_forward(
-                bb, ids, mask, student, teachers, omega)
-            dl = distill_loss(o_list, z_list, mask)
+            pooled, dl, _ = distill_example_forward(bb, ids, mask, student, teachers, omega)
             distill_total = dl if distill_total is None else distill_total + dl
         ce = T.bce_with_logits(classify_logit(pooled, head), float(label))
         ce_total = ce if ce_total is None else ce_total + ce

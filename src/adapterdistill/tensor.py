@@ -8,6 +8,12 @@ pass can walk the reachable subgraph in exact reverse execution order (a
 topological order by construction) and visit every op exactly once.
 Gradient mode is per thread (and per asyncio task): `no_grad` in one
 thread never stops taping in another.
+
+Ops take arrays of any rank where numpy does: `matmul` contracts the last
+two axes and broadcasts the leading ones, as `np.matmul` does, and
+elementwise ops broadcast as numpy does; backward sums each gradient back
+over the axes its input was broadcast along.  `transpose` swaps the last
+two axes unless it is given an explicit permutation.
 """
 
 from __future__ import annotations
@@ -181,28 +187,49 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes; leading axes broadcast."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise DimensionError(
             f"matmul shape mismatch: {a.data.shape} x {b.data.shape}"
         )
-    data = a.data @ b.data
+    try:
+        data = a.data @ b.data
+    except ValueError:
+        raise DimensionError(
+            f"matmul leading axes do not broadcast: {a.data.shape} x {b.data.shape}"
+        ) from None
 
     def bw(g):
         if _needs(a):
-            _accum(a, g @ b.data.T)
+            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
         if _needs(b):
-            _accum(b, a.data.T @ g)
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _make_node(data, (a, b), bw)
 
 
-def transpose(a: Tensor) -> Tensor:
-    data = a.data.T
+def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
+    """Permute the axes by `axes`; by default swap the last two."""
+    nd = a.data.ndim
+    if axes is None:
+        axes = (*range(nd - 2), nd - 1, nd - 2)
+    data = np.transpose(a.data, axes)
+    inverse = np.argsort(axes)
 
     def bw(g):
         if _needs(a):
-            _accum(a, g.T)
+            _accum(a, np.transpose(g, inverse))
+
+    return _make_node(data, (a,), bw)
+
+
+def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
+    data = a.data.reshape(shape)
+
+    def bw(g):
+        if _needs(a):
+            _accum(a, g.reshape(a.data.shape))
 
     return _make_node(data, (a,), bw)
 

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+from adapterdistill import tensor as T
 from adapterdistill.adapter import (adapter_forward,
                                     adapter_layer_param_count,
                                     added_params_fraction,
-                                    backbone_param_count, init_adapter)
+                                    backbone_param_count, init_adapter,
+                                    stack_adapters)
 from adapterdistill.backbone import Backbone, BackboneConfig
-from adapterdistill.errors import ConfigurationError, UsageError
-from adapterdistill.tensor import Tensor
+from adapterdistill.errors import ConfigurationError, DimensionError, UsageError
+from adapterdistill.tensor import Tensor, backward
 
 DESK = BackboneConfig()
 
@@ -36,6 +38,48 @@ class TestInit:
         h = Tensor(np.zeros((2, DESK.hidden_dim)))
         with pytest.raises(UsageError):
             adapter_forward(h, a, DESK.num_layers)
+
+
+class TestStack:
+    def members(self, dims=(8, 8, 8)):
+        rng = np.random.default_rng(4)
+        out = []
+        for i, m in enumerate(dims):
+            a = init_adapter(f"t{i}", DESK, m, seed=i, trainable=False)
+            for layer in a.layers:  # nonzero up-projections
+                layer.up.data[:] = rng.normal(0, 0.1, layer.up.data.shape)
+            out.append(a)
+        return out
+
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (4, 8, 2)])
+    def test_stack_equals_loop_outputs_and_input_gradient(self, dims):
+        members = self.members(dims)
+        stacked = stack_adapters(members)
+        rng = np.random.default_rng(5)
+        w = Tensor(rng.normal(size=(len(members), 5, DESK.hidden_dim)))
+        for li in range(DESK.num_layers):
+            h1 = Tensor(rng.normal(size=(5, DESK.hidden_dim)), requires_grad=True)
+            h2 = Tensor(h1.data.copy(), requires_grad=True)
+            z = adapter_forward(h1, stacked, li)
+            zs = [adapter_forward(h2, a, li) for a in members]
+            assert z.shape == (len(members), 5, DESK.hidden_dim)
+            assert np.abs(z.data - np.stack([x.data for x in zs])).max() <= 1e-12
+            backward(T.tsum(T.mul(z, w)))
+            loop = None
+            for n, x in enumerate(zs):
+                term = T.tsum(T.mul(x, Tensor(w.data[n])))
+                loop = term if loop is None else loop + term
+            backward(loop)
+            assert np.abs(h1.grad - h2.grad).max() <= 1e-12
+
+    def test_stack_rejects_empty_trainable_and_mismatched(self):
+        with pytest.raises(UsageError):
+            stack_adapters([])
+        with pytest.raises(UsageError):
+            stack_adapters([init_adapter("t", DESK, 8)])
+        other = init_adapter("o", BackboneConfig(num_layers=2), 8, trainable=False)
+        with pytest.raises(DimensionError):
+            stack_adapters(self.members((8,)) + [other])
 
 
 class TestStages:
@@ -78,11 +122,6 @@ class TestParamAccounting:
     def test_fraction_with_fusion_strictly_greater(self):
         a = init_adapter("t", DESK, 8)
         assert added_params_fraction(a, DESK, include_fusion=True) > added_params_fraction(a, DESK)
-
-    def test_fraction_independent_of_teacher_count(self):
-        a = init_adapter("t", DESK, 8)
-        assert (added_params_fraction(a, DESK, num_teachers=1)
-                == added_params_fraction(a, DESK, num_teachers=9))
 
     def test_fraction_needs_dims(self):
         with pytest.raises(ConfigurationError):

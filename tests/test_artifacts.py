@@ -205,6 +205,21 @@ class TestMalformedBodies:
         with pytest.raises(FormatError, match="L=0"):
             load_fusion(tmp_path / "f.bin")
 
+    def test_zero_width_head(self, tmp_path):
+        write_signed(tmp_path / "h.bin",
+                     b"HEAD" + VERSION + struct.pack("<H", 1) + b"t" + struct.pack("<I", 0)
+                     + np.zeros(1).tobytes())
+        with pytest.raises(FormatError, match="zero-width"):
+            load_head(tmp_path / "h.bin")
+
+    def test_zero_width_adapter(self, tmp_path):
+        L, d = 2, 8
+        write_signed(tmp_path / "a.bin",
+                     b"ADPT" + VERSION + struct.pack("<H", 1) + b"t" + struct.pack("<B", 1)
+                     + struct.pack("<HII", L, d, 0) + np.zeros(L * d).tobytes())
+        with pytest.raises(FormatError, match="m=0"):
+            load_adapter(tmp_path / "a.bin")
+
     @pytest.mark.parametrize("kind", list(LOADERS))
     def test_trailing_bytes_after_payload(self, tmp_path, kind):
         path = tmp_path / "x.bin"

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from adapterdistill import tensor as T
+from adapterdistill.adapter import init_adapter
 from adapterdistill.backbone import (CLS_ID, NUM_RESERVED, PAD_ID, SEP_ID,
                                      Backbone, BackboneConfig, classify_logit,
-                                     hash_token, new_head, tokenize_pair)
+                                     hash_token, new_head, real_length, tokenize_pair)
 from adapterdistill.errors import ConfigurationError, DimensionError
+from adapterdistill.fusion import make_adapter_hook
+from adapterdistill.tensor import grad_check
+from adapterdistill.trainer import TrainedArtifact, _ce_loss, predict_prob
 
 SMALL = BackboneConfig(vocab_size=512, hidden_dim=16, num_layers=2,
                        num_heads=2, ffn_dim=32, max_seq_len=10)
@@ -134,3 +138,58 @@ class TestHead:
         pooled = bb.forward(ids, mask)
         with pytest.raises(DimensionError):
             classify_logit(pooled, head)
+
+
+class TestTrailingPadding:
+    """`Backbone.forward` drops the positions after the last real token."""
+
+    def setup_method(self):
+        self.bb = Backbone(SMALL)
+        rng = np.random.default_rng(5)
+        self.adapter = init_adapter("t", SMALL, 4, seed=3, trainable=False)
+        for layer in self.adapter.layers:
+            layer.up.data[:] = rng.normal(0, 0.5, layer.up.data.shape)
+        self.head = new_head(SMALL.hidden_dim, rng)
+        self.head.w.data *= 20
+        self.art = TrainedArtifact("adapter", self.adapter, self.head)
+        # 6 real tokens, then 4 pads
+        self.ids, self.mask = tokenize_pair("a b c", "d", SMALL.max_seq_len, SMALL.vocab_size)
+
+    def test_real_length(self):
+        assert real_length(self.mask) == 6
+        inner = self.mask.copy()
+        inner[2] = 0.0
+        assert real_length(inner) == 6
+        assert real_length(np.zeros(4)) == 4
+
+    def test_padded_pair_equals_pair_cut_to_real_tokens(self):
+        padded = predict_prob(self.bb, self.art, self.ids, self.mask)
+        cut = predict_prob(self.bb, self.art, self.ids[:6], self.mask[:6])
+        assert abs(padded - cut) <= 1e-12
+        # the encoder before the trim gave this for the padded pair
+        assert abs(padded - 0.8806719456116874) <= 1e-12
+
+    def test_hook_sees_only_the_kept_positions(self):
+        shapes = []
+        self.bb.forward(self.ids, self.mask,
+                        adapter_hook=lambda li, h: shapes.append(h.shape) or h)
+        assert shapes == [(6, SMALL.hidden_dim)] * SMALL.num_layers
+
+    def test_interior_zeros_are_kept_and_masked(self):
+        # expected values from the encoder before the trim, which ran every
+        # padded position
+        inner = self.mask.copy()
+        inner[2] = 0.0
+        assert abs(predict_prob(self.bb, self.art, self.ids, inner)
+                   - 0.8286193109412836) <= 1e-12
+        assert abs(predict_prob(self.bb, self.art, self.ids, np.zeros(SMALL.max_seq_len))
+                   - 0.8772378240427193) <= 1e-12
+
+    def test_stage1_ce_loss_gradients_on_padded_pairs(self):
+        adapter = self.adapter.copy(trainable=True)
+        head = self.head.copy()
+        other = tokenize_pair("e", "f g", SMALL.max_seq_len, SMALL.vocab_size)
+        batch = [(self.ids, self.mask, 1), (*other, 0)]
+        loss_fn = _ce_loss(self.bb, head, make_adapter_hook(adapter))
+        err = grad_check(lambda: loss_fn(batch)[0], adapter.params() + head.params())
+        assert err <= 1e-4

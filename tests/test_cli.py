@@ -87,6 +87,37 @@ class TestRegister:
         assert code == 0 and "mode=adapter_distill_star" in out
 
 
+def _register(tmp_path, data):
+    return ["register", "--name", "a", "--data", data, "--mode", "adapter",
+            "--root", tmp_path / "plat"]
+
+
+class TestFailuresReachExitCodes:
+    """Each failure class exits with its documented code and prints one
+    `error:` line, no traceback."""
+
+    # name -> (platform file to plant, argv builder, exit code)
+    CASES = {
+        "missing --kb": (None, lambda t, kb: ["build-dataset", "--kb", t / "nope.tsv",
+                                              "--out", t / "x.tsv"], 3),
+        "missing --data": (None, lambda t, kb: _register(t, t / "nope.tsv"), 3),
+        "non-integer backbone.cfg value": (("backbone.cfg", "hidden_dim=lots\n"),
+                                           _register, 2),
+        "unknown backbone.cfg key": (("backbone.cfg", "hidden_dims=64\n"), _register, 2),
+        "malformed registry.txt": (("registry.txt", "only\tthree\tfields\n"), _register, 2),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exit_code_without_traceback(self, tmp_path, kb_file, capsys, case):
+        planted, argv, want = self.CASES[case]
+        if planted is not None:
+            (tmp_path / "plat").mkdir()
+            (tmp_path / "plat" / planted[0]).write_text(planted[1], encoding="utf-8")
+        code, _, err = run(argv(tmp_path, kb_file), capsys)
+        assert code == want
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 class TestCapacity:
     def test_default_table(self, capsys):
         code, out, _ = run(["capacity"], capsys)

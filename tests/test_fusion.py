@@ -11,7 +11,7 @@ from adapterdistill.errors import ConfigurationError, UsageError
 from adapterdistill.fusion import (TeacherSet, combined_loss,
                                    distill_example_forward, distill_loss,
                                    fusion_attend, init_fusion, make_teacher_set)
-from adapterdistill.tensor import Tensor, backward
+from adapterdistill.tensor import Tensor, backward, grad_check
 
 SMALL = BackboneConfig(vocab_size=512, hidden_dim=16, num_layers=2,
                        num_heads=2, ffn_dim=32, max_seq_len=8)
@@ -30,7 +30,7 @@ class TestFusionAttend:
         h = rng.normal(size=(tlen, d))
         zs = [rng.normal(size=(tlen, d)) for _ in range(n)]
         q, k, v = (rng.normal(size=(d, d)) for _ in range(3))
-        o, p = fusion_attend(Tensor(h), [Tensor(z) for z in zs],
+        o, p = fusion_attend(Tensor(h), Tensor(np.stack(zs)),
                              (Tensor(q), Tensor(k), Tensor(v)))
         o_ref, p_ref = fusion_attend_oracle(h, zs, q, k, v)
         assert np.abs(o.data - o_ref).max() <= 1e-12
@@ -42,7 +42,7 @@ class TestFusionAttend:
         d = 4
         z = rng.normal(size=(3, d))
         o, p = fusion_attend(Tensor(rng.normal(size=(3, d))),
-                             [Tensor(z), Tensor(z)],
+                             Tensor(np.stack([z, z])),
                              (Tensor(rng.normal(size=(d, d))),
                               Tensor(rng.normal(size=(d, d))),
                               Tensor(np.eye(d))))
@@ -52,14 +52,15 @@ class TestFusionAttend:
     def test_empty_teacher_list_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(UsageError):
-            fusion_attend(Tensor(rng.normal(size=(2, 4))), [], rand_layer(rng, 4))
+            fusion_attend(Tensor(rng.normal(size=(2, 4))), Tensor(np.zeros((0, 2, 4))),
+                          rand_layer(rng, 4))
 
     def test_gradients_flow_to_all_weights(self):
         rng = np.random.default_rng(2)
         d = 4
         layer = tuple(Tensor(rng.normal(size=(d, d)), requires_grad=True) for _ in range(3))
         h = Tensor(rng.normal(size=(2, d)))
-        zs = [Tensor(rng.normal(size=(2, d))) for _ in range(3)]
+        zs = Tensor(rng.normal(size=(3, 2, d)))
         o, _ = fusion_attend(h, zs, layer)
         from adapterdistill import tensor as T
         backward(T.tsum(T.mul(o, o)))
@@ -195,7 +196,29 @@ class TestCombinedLoss:
 
     def test_forward_returns_per_layer_outputs(self):
         ids, mask, _ = self.batch[0]
-        pooled, o_list, z_list, p_list = distill_example_forward(
+        pooled, dl, p_list = distill_example_forward(
             self.bb, ids, mask, self.student, self.teachers, self.omega)
-        assert len(o_list) == len(z_list) == len(p_list) == SMALL.num_layers
-        assert all(p.data.shape[1] == len(self.teachers) for p in p_list)
+        _, _, distill = combined_loss(self.batch, self.bb, self.student, self.head,
+                                      self.teachers, self.omega, eta=1.0)
+        assert dl.item() == distill > 0.0
+        assert len(p_list) == SMALL.num_layers
+        # 5 real tokens of 8: the trailing padding is dropped
+        assert all(p.data.shape == (5, len(self.teachers)) for p in p_list)
+
+    def test_gradients_on_padded_example(self):
+        student = self.student.copy(trainable=True)
+        for layer in student.layers:  # nonzero up-projections: nontrivial gradients
+            layer.up.data[:] = np.random.default_rng(6).normal(0, 0.05, layer.up.data.shape)
+
+        def f():
+            return combined_loss(self.batch, self.bb, student, self.head,
+                                 self.teachers, self.omega, eta=1.0)[0]
+
+        params = student.params() + self.omega.params() + self.head.params()
+        assert grad_check(f, params) <= 1e-4
+
+    def test_all_padding_example_rejected(self):
+        ids, mask, label = self.batch[0]
+        with pytest.raises(UsageError, match="no tokens"):
+            combined_loss([(ids, np.zeros_like(mask), label)], self.bb, self.student,
+                          self.head, self.teachers, self.omega, eta=1.0)

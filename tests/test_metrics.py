@@ -34,12 +34,14 @@ class TestAuc:
         with pytest.raises(UsageError):
             auc([0.1, 0.9], [1, 1])
 
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(2, 50), st.integers(0, 100))
-    def test_matches_pairwise_oracle_exactly(self, n, seed):
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 50), st.integers(0, 100), st.sampled_from([1, 2, None]))
+    def test_matches_pairwise_oracle_exactly(self, n, seed, decimals):
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, 2, size=n)
         if labels.sum() in (0, n):
             labels[0], labels[-1] = 0, 1
-        probs = np.round(rng.random(n), 1)  # coarse grid forces ties
+        probs = rng.random(n)
+        if decimals is not None:
+            probs = np.round(probs, decimals)  # a coarse grid forces ties
         assert auc(probs, labels) == auc_pairwise_oracle(probs, labels)

@@ -42,6 +42,33 @@ class TestOpGradients:
         with pytest.raises(DimensionError, match=r"3, 4.*3, 2"):
             T.matmul(a, b)
 
+    def test_matmul_broadcasts_leading_axes(self):
+        cases = [((2, 3, 4), (4, 5)),          # stacked left operand
+                 ((3, 4), (2, 4, 5)),          # stacked right operand
+                 ((2, 1, 3, 4), (3, 4, 5)),    # size-1 and missing axes
+                 ((2, 3, 4), (2, 4, 5))]       # same leading axes
+        for sa, sb in cases:
+            a, b = leaf(self.rng, *sa), leaf(self.rng, *sb)
+            w = Tensor(self.rng.normal(size=np.matmul(a.data, b.data).shape))
+            check(lambda a=a, b=b, w=w: T.tsum(T.mul(T.matmul(a, b), w)), [a, b])
+
+    def test_matmul_leading_axes_must_broadcast(self):
+        a, b = leaf(self.rng, 2, 3, 4), leaf(self.rng, 3, 4, 5)
+        with pytest.raises(DimensionError, match="broadcast"):
+            T.matmul(a, b)
+        with pytest.raises(DimensionError):
+            T.matmul(leaf(self.rng, 4), b)
+
+    def test_transpose_axes_and_reshape(self):
+        a = leaf(self.rng, 2, 3, 4)
+        w = Tensor(self.rng.normal(size=(4, 2, 3)))
+        check(lambda: T.tsum(T.mul(T.transpose(a, (2, 0, 1)), w)), [a])
+        w = Tensor(self.rng.normal(size=(2, 4, 3)))
+        check(lambda: T.tsum(T.mul(T.transpose(a), w)), [a])
+        w = Tensor(self.rng.normal(size=(6, 4)))
+        check(lambda: T.tsum(T.mul(T.reshape(a, (6, 4)), w)), [a])
+        assert T.transpose(a).shape == (2, 4, 3) and T.reshape(a, (4, 6)).shape == (4, 6)
+
     def test_activations(self):
         a = leaf(self.rng, 2, 5)
         for op in (T.gelu, T.tanh, T.sigmoid):
