@@ -130,8 +130,9 @@ def stack_adapters(adapters: list[AdapterWeights]) -> AdapterWeights:
 
 
 def adapter_forward(h: Tensor, w: AdapterWeights, layer: int) -> Tensor:
-    """z = h + up(gelu(down(h))) for the given layer (0-based).  For a
-    stack of N adapters, h (T, d) gives z (N, T, d)."""
+    """z = h + up(gelu(down(h))) for the given layer (0-based).  One
+    adapter keeps the shape of h, (..., d); a stack of N adapters takes rows
+    h (R, d) and gives z (N, R, d)."""
     if not 0 <= layer < w.num_layers:
         raise UsageError(f"layer {layer} out of range 0..{w.num_layers - 1}")
     lw = w.layers[layer]

@@ -125,13 +125,6 @@ def load_adapter(path) -> AdapterWeights:
     return w
 
 
-def adapter_file_size(L: int, d: int, m: int, tenant_name: str) -> int:
-    """Exact file size in bytes for a given configuration."""
-    header = 4 + 2 + 2 + len(tenant_name.encode("utf-8")) + 1 + 10
-    payload = 8 * (d * m + m + m * d + d) * L
-    return header + payload + HASH_LEN
-
-
 # ---------------------------------------------------------------------------
 # classification head
 
@@ -209,11 +202,4 @@ def load_backbone(path) -> Backbone:
     except ConfigurationError as exc:
         raise FormatError(f"{path}: bad backbone header: {exc}") from None
     _check_payload(buf, path, backbone_param_count(config))
-    bb = Backbone(config)
-    for p in bb.params():
-        p.data = _read_array(buf, *p.data.shape)
-    return bb
-
-
-def file_hash(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return Backbone(config, lambda shape: _read_array(buf, *shape))

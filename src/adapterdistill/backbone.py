@@ -2,9 +2,10 @@
 
 The encoder stands in for a real pretrained checkpoint: weights are drawn
 from a seeded RNG once, then frozen.  Text goes through a deterministic
-hashing tokenizer.  `Backbone.forward` hands the post-feed-forward hidden
-state of every layer to an adapter hook, which is where per-tenant adapters
-plug in.
+hashing tokenizer.  `Backbone.forward` runs a minibatch of sequences,
+(B, T) with a mask per row, as one taped forward; it hands the
+post-feed-forward hidden state of every layer, (B, T, d), to an adapter
+hook, which is where per-tenant adapters plug in.
 """
 
 from __future__ import annotations
@@ -138,30 +139,36 @@ class HeadWeights:
 
 
 class Backbone:
-    """Seeded, frozen encoder.  Immutable after construction."""
+    """Seeded, frozen encoder.  Immutable after construction.
 
-    def __init__(self, config: BackboneConfig):
+    `read(shape)`, when given, supplies every weight in `params()` order in
+    place of the seeded draw: a loaded or copied encoder draws nothing.
+    """
+
+    def __init__(self, config: BackboneConfig, read=None):
         self.config = config
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(config.seed) if read is None else None
         d, ffn = config.hidden_dim, config.ffn_dim
 
-        def w(*shape, scale=None):
+        def w(*shape, scale=None, fill=0.0):
+            if read is not None:
+                return Tensor(read(shape))
             if scale is None:
                 scale = np.sqrt(2.0 / sum(shape)) if len(shape) > 1 else 0.0
             if scale == 0.0:
-                return Tensor(np.zeros(shape))
+                return Tensor(np.full(shape, fill))
             return Tensor(rng.normal(0.0, scale, size=shape))
 
-        self.token_emb = Tensor(rng.normal(0.0, 0.5, size=(config.vocab_size, d)))
-        self.pos_emb = Tensor(rng.normal(0.0, 0.1, size=(config.max_seq_len, d)))
+        self.token_emb = w(config.vocab_size, d, scale=0.5)
+        self.pos_emb = w(config.max_seq_len, d, scale=0.1)
         self.layers: list[LayerWeights] = []
         for _ in range(config.num_layers):
             self.layers.append(LayerWeights(
                 wq=w(d, d), bq=w(d), wk=w(d, d), bk=w(d), wv=w(d, d), bv=w(d),
                 wo=w(d, d), bo=w(d),
-                ln1_g=Tensor(np.ones(d)), ln1_b=Tensor(np.zeros(d)),
+                ln1_g=w(d, fill=1.0), ln1_b=w(d),
                 w_ff1=w(d, ffn), b_ff1=w(ffn), w_ff2=w(ffn, d), b_ff2=w(d),
-                ln2_g=Tensor(np.ones(d)), ln2_b=Tensor(np.zeros(d)),
+                ln2_g=w(d, fill=1.0), ln2_b=w(d),
             ))
         self.pool_w = w(d, d)
         self.pool_b = w(d)
@@ -184,62 +191,78 @@ class Backbone:
 
     def unfrozen_copy(self) -> "Backbone":
         """Tenant-private trainable copy (full fine-tuning baseline)."""
-        other = Backbone(self.config)
-        for dst, src in zip(other.params(), self.params()):
-            dst.data = src.data.copy()
-            dst.requires_grad = True
-            dst.grad = np.zeros_like(dst.data)
+        source = iter(self.params())
+        other = Backbone(self.config, lambda shape: next(source).data.copy())
+        for p in other.params():
+            p.requires_grad = True
+            p.grad = np.zeros_like(p.data)
         return other
 
     # -- forward ----------------------------------------------------------
 
-    def _attention(self, x: Tensor, layer: LayerWeights, mask: np.ndarray) -> Tensor:
-        """All heads at once: q and v as (H, T, dh), k as (H, dh, T)."""
+    def _attention(self, x: Tensor, layer: LayerWeights, key_bias: Tensor) -> Tensor:
+        """All heads of every row at once: q and v as (B, H, T, dh), k as
+        (B, H, dh, T)."""
         cfg = self.config
-        tlen, d, H = len(mask), cfg.hidden_dim, cfg.num_heads
+        rows, tlen, d = x.shape
+        H = cfg.num_heads
         dh = d // H
 
         def split(t: Tensor, axes) -> Tensor:
-            return T.transpose(T.reshape(t, (tlen, H, dh)), axes)
+            return T.transpose(T.reshape(t, (rows, tlen, H, dh)), axes)
 
-        q = split(T.matmul(x, layer.wq) + layer.bq, (1, 0, 2))
-        k = split(T.matmul(x, layer.wk) + layer.bk, (1, 2, 0))
-        v = split(T.matmul(x, layer.wv) + layer.bv, (1, 0, 2))
-        bias = Tensor(np.where(mask > 0, 0.0, -1e9)[None, None, :])  # additive key mask
-        weights = T.softmax(T.matmul(q, k) * (1.0 / np.sqrt(dh)) + bias)
-        merged = T.reshape(T.transpose(T.matmul(weights, v), (1, 0, 2)), (tlen, d))
+        q = split(T.matmul(x, layer.wq) + layer.bq, (0, 2, 1, 3))
+        k = split(T.matmul(x, layer.wk) + layer.bk, (0, 2, 3, 1))
+        v = split(T.matmul(x, layer.wv) + layer.bv, (0, 2, 1, 3))
+        weights = T.softmax(T.matmul(q, k) * (1.0 / np.sqrt(dh)) + key_bias)
+        merged = T.reshape(T.transpose(T.matmul(weights, v), (0, 2, 1, 3)), (rows, tlen, d))
         return T.matmul(merged, layer.wo) + layer.bo
 
     def forward(self, ids: np.ndarray, mask: np.ndarray, adapter_hook=None):
-        """Run the encoder.
+        """Run the encoder over a batch of sequences.
 
-        adapter_hook(layer_index, h) may transform the post-FFN hidden state
-        h (the adapter insertion point); identity when None.  Returns the
-        pooled representation.  Positions after the last real token are
-        cut first (see `real_length`): no real position attends to them
-        and only row 0 is pooled, so the result does not depend on them.
+        ids and mask are (B, T), one sequence per row; a 1-D pair is one
+        row.  adapter_hook(layer_index, h) may transform the post-FFN hidden
+        state h, (B, T, d) (the adapter insertion point); identity when
+        None.  Returns the pooled representation of every row, (B, d).
+
+        The batch is cut to its longest real row (see `real_length`).  Each
+        row masks its own padding with a -1e9 key bias, so a padded position
+        gets attention weight exactly 0; only position 0 is pooled, so a
+        row's result does not depend on its padding.
         """
+        ids, mask = np.atleast_2d(ids), np.atleast_2d(mask)
         tlen = real_length(mask)
-        ids, mask = ids[:tlen], mask[:tlen]
+        ids, mask = ids[:, :tlen], mask[:, :tlen]
+        key_bias = Tensor(np.where(mask > 0, 0.0, -1e9)[:, None, None, :])
         x = T.embedding(self.token_emb, ids) + T.rows(self.pos_emb, 0, tlen)
         for li, layer in enumerate(self.layers):
-            a = T.layernorm(x + self._attention(x, layer, mask), layer.ln1_g, layer.ln1_b)
+            a = T.layernorm(x + self._attention(x, layer, key_bias), layer.ln1_g, layer.ln1_b)
             f = T.matmul(T.gelu(T.matmul(a, layer.w_ff1) + layer.b_ff1), layer.w_ff2) + layer.b_ff2
             z = f if adapter_hook is None else adapter_hook(li, f)
             x = T.layernorm(a + z, layer.ln2_g, layer.ln2_b)
-        first = T.rows(x, 0, 1)
+        first = T.reshape(T.cols(x, 0, 1), (len(ids), self.config.hidden_dim))
         return T.tanh(T.matmul(first, self.pool_w) + self.pool_b)
 
 
 def real_length(mask: np.ndarray) -> int:
-    """Length of `mask` up to and including its last real (nonzero) position.
+    """Length of `mask`, (T,) or (B, T), up to and including the last real
+    (nonzero) position of any row.
 
     Padding after that position is masked out of every attention and never
-    pooled, so a forward pass may drop it.  Interior zeros are kept.  A mask
-    with no real position keeps its full length.
+    pooled, so a forward pass may drop it.  Interior zeros are kept.  A row
+    with no real position keeps the full length.
     """
-    real = np.flatnonzero(mask)
-    return int(real[-1]) + 1 if real.size else len(mask)
+    mask = np.atleast_2d(mask)
+    if not mask.any(axis=1).all():
+        return mask.shape[1]
+    return int(np.flatnonzero(mask.any(axis=0))[-1]) + 1
+
+
+def stack_batch(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ids, mask, label) triples as (B, T) ids, a (B, T) mask and (B,) labels."""
+    ids, mask, labels = zip(*batch)
+    return np.stack(ids), np.stack(mask), np.asarray(labels, dtype=np.float64)
 
 
 def classify_logit(pooled: Tensor, head: HeadWeights) -> Tensor:

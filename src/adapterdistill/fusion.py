@@ -2,11 +2,12 @@
 
 Per layer, Query/Key/Value matrices attend from the backbone hidden state
 over the outputs of N frozen teacher adapters; the fused output is pulled
-toward the live student adapter output by a squared-difference loss.  The
-teachers run as one stacked adapter and their outputs are attended over as
-one (N, T, d) tensor, so a layer costs the same number of tape ops
-whatever N is.  The fusion weights exist only during training and are
-never part of a tenant's inference artifact.
+toward the live student adapter output by a squared-difference loss.  A
+minibatch runs as one taped forward: the hook folds the (B, T, d) hidden
+state into B*T rows, the teachers run on them as one stacked adapter, and
+their outputs are attended over as one (N, B*T, d) tensor, so a layer costs
+the same number of tape ops whatever B and N are.  The fusion weights exist
+only during training and are never part of a tenant's inference artifact.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .adapter import (AdapterWeights, STAGE_FINAL, STAGE_FIRST, adapter_forward,
                       stack_adapters)
-from .backbone import Backbone, classify_logit, real_length
+from .backbone import Backbone, classify_logit, real_length, stack_batch
 from .errors import ConfigurationError, UsageError
 from .tensor import Tensor
 
@@ -114,21 +115,36 @@ def fusion_attend(h: Tensor, z: Tensor,
 def distill_loss(o_per_layer: list[Tensor], z_per_layer: list[Tensor],
                  mask: np.ndarray) -> Tensor:
     """Mean over layers, unmasked tokens, and hidden dims of the squared
-    difference between fused teacher output and student output."""
+    difference between fused teacher output and student output.
+
+    o and z are (T, d) with a (T,) mask, or (B, T, d) with a (B, T) mask:
+    each row is averaged over its own real tokens, then the rows are
+    averaged.
+    """
     mask = np.asarray(mask, dtype=np.float64)
-    n_tok = float(mask.sum())
-    if n_tok == 0:
+    n_tok = mask.sum(axis=-1, keepdims=True)
+    if (n_tok == 0).any():
         raise UsageError("distill_loss: mask marks no tokens")
     if len(o_per_layer) != len(z_per_layer):
         raise UsageError("o and z layer lists differ in length")
-    mask_col = Tensor(mask[:, None])
+    token_weight = Tensor((mask / n_tok)[..., None])
     total = None
     for o, z in zip(o_per_layer, z_per_layer):
         diff = o - z
-        sq = T.tsum(T.mul(T.mul(diff, diff), mask_col))
+        sq = T.tsum(T.mul(T.mul(diff, diff), token_weight))
         total = sq if total is None else total + sq
-    d = o_per_layer[0].data.shape[1]
-    return total * (1.0 / (len(o_per_layer) * n_tok * d))
+    rows = mask.size // mask.shape[-1]
+    d = o_per_layer[0].data.shape[-1]
+    return total * (1.0 / (len(o_per_layer) * rows * d))
+
+
+def _fuse(h: Tensor, stacked: AdapterWeights, omega: FusionWeights,
+          li: int) -> tuple[Tensor, Tensor]:
+    """Fusion attention of layer li over the stacked adapters' outputs for
+    h (B, T, d), on its B*T rows.  Returns (o (B, T, d), p (B*T, N))."""
+    rows = T.reshape(h, (-1, h.shape[-1]))
+    o, p = fusion_attend(rows, adapter_forward(rows, stacked, li), omega.layers[li])
+    return T.reshape(o, h.shape), p
 
 
 def make_adapter_hook(adapter: AdapterWeights | None = None,
@@ -137,17 +153,14 @@ def make_adapter_hook(adapter: AdapterWeights | None = None,
     """The `adapter_hook` for `Backbone.forward` on one serving path.
 
     Fusion when omega is given (attention over the member adapters'
-    outputs), else the single adapter, else None (the bare encoder).
+    outputs, stacked once here), else the single adapter, else None (the
+    bare encoder).
     """
     if omega is not None:
         if not members:
             raise UsageError("fusion path needs member adapters")
         stacked = stack_adapters(members)
-
-        def fused(li: int, h: Tensor) -> Tensor:
-            o, _ = fusion_attend(h, adapter_forward(h, stacked, li), omega.layers[li])
-            return o
-        return fused
+        return lambda li, h: _fuse(h, stacked, omega, li)[0]
     if adapter is not None:
         return lambda li, h: adapter_forward(h, adapter, li)
     return None
@@ -156,13 +169,14 @@ def make_adapter_hook(adapter: AdapterWeights | None = None,
 def distill_example_forward(bb: Backbone, ids: np.ndarray, mask: np.ndarray,
                             student: AdapterWeights, teachers: TeacherSet,
                             omega: FusionWeights):
-    """One stage-2 forward pass.
+    """One stage-2 forward pass over a minibatch, ids and mask (B, T), or
+    one (T,) example.
 
     The main (inference) path runs the student adapter; the stacked teacher
     outputs and the fused output are computed on the side at every layer.
-    The encoder drops the padding after the last real token, and so does
-    the mask given to `distill_loss`.  Returns (pooled, distillation loss,
-    p_per_layer).
+    The encoder drops the padding after the batch's last real token, and so
+    does the mask given to `distill_loss`.  Returns (pooled (B, d),
+    distillation loss, p_per_layer), with p (B*T, N) per layer.
     """
     if teachers.stacked is None:
         raise UsageError("distillation needs at least one teacher")
@@ -172,14 +186,14 @@ def distill_example_forward(bb: Backbone, ids: np.ndarray, mask: np.ndarray,
 
     def hook(li: int, h: Tensor) -> Tensor:
         z_student = adapter_forward(h, student, li)
-        o, p = fusion_attend(h, adapter_forward(h, teachers.stacked, li), omega.layers[li])
+        o, p = _fuse(h, teachers.stacked, omega, li)
         o_list.append(o)
         z_list.append(z_student)
         p_list.append(p)
         return z_student
 
     pooled = bb.forward(ids, mask, adapter_hook=hook)
-    return pooled, distill_loss(o_list, z_list, mask[:real_length(mask)]), p_list
+    return pooled, distill_loss(o_list, z_list, mask[..., :real_length(mask)]), p_list
 
 
 def combined_loss(batch, bb: Backbone, student: AdapterWeights, head,
@@ -188,32 +202,23 @@ def combined_loss(batch, bb: Backbone, student: AdapterWeights, head,
     """The stage-2 objective: mean cross-entropy on the student path plus
     eta times the mean distillation loss over the batch.
 
-    batch: iterable of (ids, mask, label).  One forward pass per example
-    gives both the logit and the distillation terms.  With eta == 0 the
-    distillation term is skipped entirely, so the loss equals the stage-1
-    objective and the fusion weights receive no gradient.  Returns
-    (loss, mean cross-entropy, mean distillation loss) with the two parts
-    as floats.
+    batch: sequence of (ids, mask, label).  One taped forward over the
+    stacked (B, T) batch gives both the logits and the distillation terms.
+    With eta == 0 the distillation term is skipped entirely, so the loss
+    equals the stage-1 objective and the fusion weights receive no
+    gradient.  Returns (loss, mean cross-entropy, mean distillation loss)
+    with the two parts as floats.
     """
     if eta < 0:
         raise ConfigurationError(f"eta must be nonnegative, got {eta}")
-    hook = make_adapter_hook(student)
-    ce_total = None
-    distill_total = None
-    n = 0
-    for ids, mask, label in batch:
-        if eta == 0:
-            pooled = bb.forward(ids, mask, adapter_hook=hook)
-        else:
-            pooled, dl, _ = distill_example_forward(bb, ids, mask, student, teachers, omega)
-            distill_total = dl if distill_total is None else distill_total + dl
-        ce = T.bce_with_logits(classify_logit(pooled, head), float(label))
-        ce_total = ce if ce_total is None else ce_total + ce
-        n += 1
-    if n == 0:
+    if not batch:
         raise UsageError("combined_loss: empty batch")
-    ce_mean = ce_total * (1.0 / n)
+    ids, mask, labels = stack_batch(batch)
     if eta == 0:
-        return ce_mean, ce_mean.item(), 0.0
-    distill_mean = distill_total * (1.0 / n)
-    return ce_mean + distill_mean * eta, ce_mean.item(), distill_mean.item()
+        pooled = bb.forward(ids, mask, adapter_hook=make_adapter_hook(student))
+    else:
+        pooled, distill, _ = distill_example_forward(bb, ids, mask, student, teachers, omega)
+    ce = T.bce_with_logits(classify_logit(pooled, head), labels)
+    if eta == 0:
+        return ce, ce.item(), 0.0
+    return ce + distill * eta, ce.item(), distill.item()

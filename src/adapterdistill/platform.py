@@ -273,15 +273,18 @@ class Platform:
         if self._content_hash(name) != rec.content_hash:
             raise IntegrityError(f"tenant {name!r}: artifact hash mismatch")
         tdir = self.tenant_dir(name)
-        artifact = TrainedArtifact(rec.mode, None, self._load(name, "head.bin", load_head))
+        head = self._load(name, "head.bin", load_head)
+        adapter = omega = members = backbone = None
         if (tdir / "fusion.bin").exists():  # fusion routing never reads adapter.bin
-            artifact.omega = self._load(name, "fusion.bin", load_fusion)
-            artifact.fusion_members = [self._load(name, f.name, load_adapter)
-                                       for f in sorted(tdir.glob("member_*.bin"))]
+            omega = self._load(name, "fusion.bin", load_fusion)
+            members = [self._load(name, f.name, load_adapter)
+                       for f in sorted(tdir.glob("member_*.bin"))]
         elif rec.adapter_path:
-            artifact.adapter = self._load(name, "adapter.bin", load_adapter)
+            adapter = self._load(name, "adapter.bin", load_adapter)
         if (tdir / "backbone.bin").exists():
-            artifact.backbone = self._load(name, "backbone.bin", load_backbone)
+            backbone = self._load(name, "backbone.bin", load_backbone)
+        artifact = TrainedArtifact(rec.mode, adapter, head, omega=omega,
+                                   fusion_members=members, backbone=backbone)
         self._cache[name] = artifact
         while len(self._cache) > self._cache_capacity:
             self._cache.popitem(last=False)

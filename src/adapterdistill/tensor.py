@@ -5,15 +5,19 @@ output node.  A closure takes the output gradient as its argument and holds
 no reference to its own node, so a dropped graph is freed by reference
 counting alone.  Nodes carry a global creation ordinal, so the backward
 pass can walk the reachable subgraph in exact reverse execution order (a
-topological order by construction) and visit every op exactly once.
+topological order by construction) and visit every op exactly once; an
+interior node's gradient is dropped as soon as its closure has run, so
+only trainable leaves keep a `grad` after the pass.
 Gradient mode is per thread (and per asyncio task): `no_grad` in one
 thread never stops taping in another.
 
 Ops take arrays of any rank where numpy does: `matmul` contracts the last
 two axes and broadcasts the leading ones, as `np.matmul` does, and
 elementwise ops broadcast as numpy does; backward sums each gradient back
-over the axes its input was broadcast along.  `transpose` swaps the last
-two axes unless it is given an explicit permutation.
+over the axes its input was broadcast along.  A 2-D weight multiplied into
+batched rows gets its gradient from one product over the folded rows.
+`transpose` swaps the last two axes unless it is given an explicit
+permutation.
 """
 
 from __future__ import annotations
@@ -127,8 +131,9 @@ def _make_node(data: np.ndarray, inputs: Sequence[Tensor],
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64)  # a copy: g may be another node's
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -204,7 +209,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if _needs(a):
             _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
         if _needs(b):
-            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+            if b.data.ndim == 2 and a.data.ndim > 2:
+                # a 2-D weight under batched rows: one gemm over the folded
+                # rows, not a (..., k, n) stack summed afterwards
+                rows = a.data.reshape(-1, a.data.shape[-1])
+                _accum(b, rows.T @ g.reshape(-1, g.shape[-1]))
+            else:
+                _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _make_node(data, (a, b), bw)
 
@@ -401,16 +412,24 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     return _make_node(data, (x, gain, bias), bw)
 
 
-def bce_with_logits(logit: Tensor, target: float) -> Tensor:
-    """Numerically stable binary cross-entropy on a scalar logit."""
-    x = float(logit.data.reshape(-1)[0])
-    y = float(target)
-    loss = max(x, 0.0) - x * y + math.log1p(math.exp(-abs(x)))
-    p = 1.0 / (1.0 + math.exp(-x)) if x >= 0 else math.exp(x) / (1.0 + math.exp(x))
+def bce_with_logits(logit: Tensor, target) -> Tensor:
+    """Numerically stable binary cross-entropy, averaged over the logits.
+
+    `target` holds one label per logit: a float for a single logit, or a
+    (B,) array for a (B, 1) logit column.
+    """
+    x = logit.data
+    y = np.asarray(target, dtype=np.float64)
+    if y.size != x.size:
+        raise DimensionError(f"bce_with_logits: {y.size} targets for {x.size} logits")
+    y = y.reshape(x.shape)
+    e = np.exp(-np.abs(x))
+    loss = (np.maximum(x, 0.0) - x * y + np.log1p(e)).mean()
+    p = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def bw(g):
         if _needs(logit):
-            _accum(logit, np.full_like(logit.data, float(g) * (p - y)))
+            _accum(logit, g * (p - y) / x.size)
 
     return _make_node(np.array(loss), (logit,), bw)
 
@@ -419,7 +438,8 @@ def bce_with_logits(logit: Tensor, target: float) -> Tensor:
 # backward pass
 
 def backward(loss: Tensor) -> None:
-    """Populate grads of everything reachable from a scalar loss."""
+    """Accumulate into the grads of the trainable leaves reachable from a
+    scalar loss."""
     if loss.data.size != 1:
         raise UsageError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     # Collect reachable graph nodes; sort by creation ordinal = execution order.
@@ -439,6 +459,8 @@ def backward(loss: Tensor) -> None:
     for t in reversed(nodes):
         if t.grad is not None:
             t._backward(t.grad)
+            if not t.requires_grad:
+                t.grad = None  # spent: every consumer of t has run before it
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ cross-entropy.  Stage 2 continues training the adapter jointly with the
 fusion weights under cross-entropy plus the weighted distillation loss
 against the frozen teacher set.  Baselines: full fine-tuning, head-only,
 adapter-only, and AdapterFusion (which keeps the fusion layer at
-inference).
+inference).  Every minibatch is one taped forward over its stacked (B, T)
+pairs; evaluation runs untaped forwards over chunks of EVAL_BATCH pairs,
+and `predict_prob` is the one-row call of that same path.
 """
 
 from __future__ import annotations
@@ -14,12 +16,14 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import tensor as T
 from .adapter import AdapterWeights, init_adapter
-from .backbone import Backbone, HeadWeights, classify_logit, new_head, tokenize_pair
+from .backbone import (Backbone, HeadWeights, classify_logit, new_head, stack_batch,
+                       tokenize_pair)
 from .errors import ConfigurationError, UsageError
 from .faq_data import Example
 from .fusion import (FusionWeights, TeacherSet, combined_loss, init_fusion,
@@ -28,6 +32,9 @@ from .metrics import accuracy as _accuracy, auc as _auc
 from .tensor import Tensor, no_grad
 
 ETA_GRID_DEFAULT = [math.exp(-2), math.exp(-1), 1.0, math.e, math.e ** 2]
+
+# Examples per forward in evaluation: bounds the activations of one chunk.
+EVAL_BATCH = 64
 
 MODES = ("full", "head", "adapter", "adapter_fusion", "adapter_distill", "adapter_distill_star")
 
@@ -39,7 +46,7 @@ class TrainConfig:
     warmup_frac: float = 0.1
     weight_decay: float = 0.01
     batch_size: int = 8
-    eta: float | list[float] = field(default_factory=lambda: list(ETA_GRID_DEFAULT))
+    eta: list[float] = field(default_factory=lambda: list(ETA_GRID_DEFAULT))
     seed: int = 0
     mode: str = "adapter_distill"
     bottleneck_dim: int = 8
@@ -49,7 +56,9 @@ class TrainConfig:
             raise ConfigurationError("epochs must be >= 1")
         if self.mode not in MODES:
             raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if isinstance(self.eta, list) and not self.eta and self.mode.startswith("adapter_distill"):
+        if not isinstance(self.eta, list):
+            self.eta = [self.eta]  # a single eta is a one-point grid
+        if not self.eta and self.mode.startswith("adapter_distill"):
             raise ConfigurationError("eta grid must be nonempty for distillation modes")
 
 
@@ -62,7 +71,8 @@ class EvalReport:
 @dataclass
 class TrainedArtifact:
     """A tenant's serving weights, from training through persisting to
-    loading; `predict_prob` runs them."""
+    loading; `predict_prob` runs them.  `hook` is their adapter hook, built
+    once here: a fusion artifact stacks its members a single time."""
     mode: str
     adapter: AdapterWeights | None
     head: HeadWeights
@@ -71,6 +81,10 @@ class TrainedArtifact:
     backbone: Backbone | None = None            # tenant-private copy (full mode)
     history: list[dict] = field(default_factory=list)
     eta: float | None = None
+    hook: Callable | None = field(init=False, default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.hook = make_adapter_hook(self.adapter, self.omega, self.fusion_members)
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +166,12 @@ def _fit(encoded, loss_fn, groups: list[tuple[Tensor, bool]], config: TrainConfi
 
 
 def _ce_loss(bb: Backbone, head: HeadWeights, hook):
-    """Mean binary cross-entropy over a batch, as a loss_fn for `_fit`."""
+    """Mean binary cross-entropy over a batch, one taped forward per batch,
+    as a loss_fn for `_fit`."""
     def loss_fn(batch):
-        total = None
-        for ids, mask, label in batch:
-            pooled = bb.forward(ids, mask, adapter_hook=hook)
-            ce = T.bce_with_logits(classify_logit(pooled, head), float(label))
-            total = ce if total is None else total + ce
-        loss = total * (1.0 / len(batch))
+        ids, mask, labels = stack_batch(batch)
+        pooled = bb.forward(ids, mask, adapter_hook=hook)
+        loss = T.bce_with_logits(classify_logit(pooled, head), labels)
         return loss, loss.item(), 0.0
     return loss_fn
 
@@ -229,7 +241,7 @@ def select_eta(train_examples, val_examples, bb, student_first, teachers,
     None.
     """
     if grid is None:
-        grid = config.eta if isinstance(config.eta, list) else [config.eta]
+        grid = config.eta
     if not grid:
         raise ConfigurationError("empty eta grid")
     if len(grid) == 1:
@@ -256,21 +268,31 @@ def select_eta(train_examples, val_examples, bb, student_first, teachers,
 # ---------------------------------------------------------------------------
 # inference + evaluation
 
-def predict_prob(bb: Backbone, artifact: TrainedArtifact, ids, mask) -> float:
-    """Single forward pass of one tenant's serving weights; returns the
-    positive-match probability.  A tenant-private encoder (full mode)
-    replaces the shared encoder `bb`."""
+def _probabilities(bb: Backbone, artifact: TrainedArtifact, ids, mask) -> np.ndarray:
+    """One untaped forward of a tenant's serving weights over ids and mask,
+    (B, T) or one (T,) pair; returns the B positive-match probabilities.  A
+    tenant-private encoder (full mode) replaces the shared encoder `bb`."""
     encoder = artifact.backbone if artifact.backbone is not None else bb
-    hook = make_adapter_hook(artifact.adapter, artifact.omega, artifact.fusion_members)
     with no_grad():
-        logit = classify_logit(encoder.forward(ids, mask, adapter_hook=hook), artifact.head)
-        return float(1.0 / (1.0 + np.exp(-logit.item())))
+        logit = classify_logit(encoder.forward(ids, mask, adapter_hook=artifact.hook),
+                               artifact.head)
+    return 1.0 / (1.0 + np.exp(-logit.data[:, 0]))
+
+
+def predict_prob(bb: Backbone, artifact: TrainedArtifact, ids, mask) -> float:
+    """The positive-match probability of one (T,) pair: a one-row forward."""
+    return float(_probabilities(bb, artifact, ids, mask)[0])
 
 
 def predict_many(bb: Backbone, artifact: TrainedArtifact,
                  examples: list[Example]) -> list[float]:
-    return [predict_prob(bb, artifact, ids, mask)
-            for ids, mask, _ in encode_examples(examples, bb.config)]
+    """Probabilities of every example, one forward per EVAL_BATCH examples."""
+    encoded = encode_examples(examples, bb.config)
+    probs: list[float] = []
+    for start in range(0, len(encoded), EVAL_BATCH):
+        ids, mask, _ = stack_batch(encoded[start:start + EVAL_BATCH])
+        probs.extend(_probabilities(bb, artifact, ids, mask).tolist())
+    return probs
 
 
 def evaluate_predictions(probabilities: list[float], labels: list[int]) -> EvalReport:
@@ -329,13 +351,13 @@ def train_baseline(mode: str, train_examples, bb: Backbone, config: TrainConfig,
     for a in members:
         a.set_trainable(False)
     omega = init_fusion(bb.config.hidden_dim, bb.config.num_layers, seed=config.seed)
-    head2 = head.copy()
-    hook = make_adapter_hook(omega=omega, members=members)
-    history2 = _fit(encoded, _ce_loss(bb, head2, hook),
-                    _param_groups(None, head2, omega=omega), config, rng)
+    artifact = TrainedArtifact("adapter_fusion", adapter, head.copy(), omega=omega,
+                               fusion_members=members)
+    history2 = _fit(encoded, _ce_loss(bb, artifact.head, artifact.hook),
+                    _param_groups(None, artifact.head, omega=omega), config, rng)
     omega.set_trainable(False)
-    return TrainedArtifact("adapter_fusion", adapter, head2, omega=omega,
-                           fusion_members=members, history=history1 + history2)
+    artifact.history = history1 + history2
+    return artifact
 
 
 def train_tenant(train_examples, val_examples, bb: Backbone, config: TrainConfig,
@@ -355,13 +377,11 @@ def train_tenant(train_examples, val_examples, bb: Backbone, config: TrainConfig
     student_first.set_trainable(False)
     teachers = make_teacher_set(teacher_finals,
                                 None if mode == "adapter_distill_star" else student_first)
-    grid = config.eta if isinstance(config.eta, list) else [config.eta]
-    if len(grid) > 1 and len(teachers) > 0:
+    if len(config.eta) > 1 and len(teachers) > 0:
         eta, _, (adapter, head, history2) = select_eta(
-            train_examples, val_examples, bb, student_first, teachers, config, grid,
-            head=head1)
+            train_examples, val_examples, bb, student_first, teachers, config, head=head1)
     else:
-        eta = grid[0]
+        eta = config.eta[0]
         adapter, head, history2 = train_stage2(train_examples, bb, student_first,
                                                teachers, config, eta, head=head1)
     adapter.set_trainable(False)

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 import adapterdistill.artifacts as artifacts
 from adapterdistill.adapter import backbone_param_count, init_adapter
-from adapterdistill.artifacts import (adapter_file_size, file_hash,
-                                      load_adapter, load_backbone,
+from adapterdistill.artifacts import (HASH_LEN, load_adapter, load_backbone,
                                       load_fusion, load_head, save_adapter,
                                       save_backbone, save_fusion, save_head)
 from adapterdistill.backbone import Backbone, BackboneConfig, new_head
@@ -31,6 +30,17 @@ def random_adapter(name="tenant-x", stage_final=True):
     if stage_final:
         a.promote()
     return a
+
+
+def adapter_file_size(L: int, d: int, m: int, tenant_name: str) -> int:
+    """Exact adapter file size in bytes for a given configuration."""
+    header = 4 + 2 + 2 + len(tenant_name.encode("utf-8")) + 1 + 10
+    payload = 8 * (d * m + m + m * d + d) * L
+    return header + payload + HASH_LEN
+
+
+def file_hash(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def write_signed(path, body: bytes) -> None:
@@ -129,6 +139,32 @@ class TestOtherFormats:
         loaded = load_backbone(path)
         assert loaded.config == SMALL
         assert loaded.weights_hash() == bb.weights_hash()
+
+    def test_loaded_backbone_draws_no_weights(self, tmp_path, monkeypatch):
+        bb = Backbone(SMALL)
+        rng = np.random.default_rng(9)
+        for p in bb.params():  # every weight away from the seeded draw
+            p.data = p.data + rng.normal(size=p.data.shape)
+        path = tmp_path / "b.bin"
+        save_backbone(bb, path)
+        draws = []
+        real_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = real_rng(seed)
+
+            def normal(self, *args, **kwargs):
+                draws.append(kwargs.get("size"))
+                return self.rng.normal(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        loaded = load_backbone(path)
+        assert draws == []
+        assert all(p.data.tobytes() == q.data.tobytes()
+                   for p, q in zip(loaded.params(), bb.params()))
+        Backbone(SMALL)  # a seeded construction does draw
+        assert draws
 
     @staticmethod
     def write_backbone(path, header, payload=b""):

@@ -173,7 +173,12 @@ class TestTrailingPadding:
         shapes = []
         self.bb.forward(self.ids, self.mask,
                         adapter_hook=lambda li, h: shapes.append(h.shape) or h)
-        assert shapes == [(6, SMALL.hidden_dim)] * SMALL.num_layers
+        assert shapes == [(1, 6, SMALL.hidden_dim)] * SMALL.num_layers
+        shorter = tokenize_pair("a", "b", SMALL.max_seq_len, SMALL.vocab_size)
+        shapes.clear()
+        self.bb.forward(np.stack([shorter[0], self.ids]), np.stack([shorter[1], self.mask]),
+                        adapter_hook=lambda li, h: shapes.append(h.shape) or h)
+        assert shapes == [(2, 6, SMALL.hidden_dim)] * SMALL.num_layers
 
     def test_interior_zeros_are_kept_and_masked(self):
         # expected values from the encoder before the trim, which ran every

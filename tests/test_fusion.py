@@ -6,12 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from adapterdistill.acceptance import distill_loss_oracle, fusion_attend_oracle
 from adapterdistill.adapter import init_adapter
-from adapterdistill.backbone import Backbone, BackboneConfig, new_head, tokenize_pair
+from adapterdistill.backbone import (CLS_ID, NUM_RESERVED, PAD_ID, Backbone,
+                                     BackboneConfig, new_head, tokenize_pair)
 from adapterdistill.errors import ConfigurationError, UsageError
 from adapterdistill.fusion import (TeacherSet, combined_loss,
                                    distill_example_forward, distill_loss,
-                                   fusion_attend, init_fusion, make_teacher_set)
+                                   fusion_attend, init_fusion, make_adapter_hook,
+                                   make_teacher_set)
 from adapterdistill.tensor import Tensor, backward, grad_check
+from adapterdistill.trainer import _ce_loss
 
 SMALL = BackboneConfig(vocab_size=512, hidden_dim=16, num_layers=2,
                        num_heads=2, ffn_dim=32, max_seq_len=8)
@@ -222,3 +225,62 @@ class TestCombinedLoss:
         with pytest.raises(UsageError, match="no tokens"):
             combined_loss([(ids, np.zeros_like(mask), label)], self.bb, self.student,
                           self.head, self.teachers, self.omega, eta=1.0)
+
+
+class TestRaggedBatch:
+    """One taped forward over a (B, T) batch equals B one-row forwards."""
+
+    CONFIG = BackboneConfig(vocab_size=512, hidden_dim=16, num_layers=2,
+                            num_heads=2, ffn_dim=32, max_seq_len=20)
+
+    def setup_method(self):
+        cfg = self.CONFIG
+        rng = np.random.default_rng(11)
+        self.bb = Backbone(cfg)
+        self.student = init_adapter("s", cfg, 4, seed=1)
+        for layer in self.student.layers:  # nonzero up-projections: nontrivial gradients
+            layer.up.data[:] = rng.normal(0, 0.05, layer.up.data.shape)
+        self.head = new_head(cfg.hidden_dim, rng)
+        teacher = init_adapter("t0", cfg, 4, seed=2, trainable=False)
+        for layer in teacher.layers:
+            layer.up.data[:] = rng.normal(0, 0.05, layer.up.data.shape)
+        teacher.promote()
+        self_first = self.student.copy(stage="first")
+        self.teachers = make_teacher_set([teacher], self_first)
+        self.omega = init_fusion(cfg.hidden_dim, cfg.num_layers, seed=0)
+        self.batch = []
+        for n, label in ((5, 1), (9, 0), (16, 1)):
+            ids = np.full(cfg.max_seq_len, PAD_ID)
+            ids[:n] = rng.integers(NUM_RESERVED, cfg.vocab_size, size=n)
+            ids[0] = CLS_ID
+            mask = np.zeros(cfg.max_seq_len)
+            mask[:n] = 1.0
+            if n == 9:
+                mask[3] = 0.0  # an interior zero
+            self.batch.append((ids, mask, label))
+
+    def params(self):
+        return self.student.params() + self.omega.params() + self.head.params()
+
+    def loss_and_grads(self, batch):
+        for p in self.params():
+            p.zero_grad()
+        loss, ce, distill = combined_loss(batch, self.bb, self.student, self.head,
+                                          self.teachers, self.omega, eta=1.5)
+        backward(loss)
+        return (loss.item(), ce, distill), [p.grad.copy() for p in self.params()]
+
+    def test_combined_loss_equals_mean_of_one_row_calls(self):
+        parts, grads = self.loss_and_grads(self.batch)
+        rows = [self.loss_and_grads([row]) for row in self.batch]
+        for i, part in enumerate(parts):
+            assert abs(part - np.mean([r[0][i] for r in rows])) <= 1e-12
+        for i, g in enumerate(grads):
+            mean = sum(r[1][i] for r in rows) / len(rows)
+            assert np.abs(g - mean).max() <= 1e-12
+        assert any(np.abs(g).sum() > 0 for g in grads[-len(self.head.params()) - 1:])
+
+    def test_stage1_ce_loss_gradients(self):
+        loss_fn = _ce_loss(self.bb, self.head, make_adapter_hook(self.student))
+        params = self.student.params() + self.head.params()
+        assert grad_check(lambda: loss_fn(self.batch)[0], params) <= 1e-4

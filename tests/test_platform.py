@@ -183,6 +183,25 @@ class TestRouting:
                  (tmp_path / "access.log").read_text().splitlines()]
         assert "fusion.bin" in files and "adapter.bin" not in files
 
+    def test_hot_fusion_tenant_stacks_its_members_once(self, tmp_path, kbs, monkeypatch):
+        import adapterdistill.fusion as fusion
+        plat = Platform(tmp_path, SMALL)
+        plat.register_tenant("alpha", kbs[0], "adapter", quick_config())
+        plat.register_tenant("beta", kbs[1], "adapter_fusion", quick_config(seed=1))
+        plat._cache.clear()
+        stacks = []
+        real = fusion.stack_adapters
+
+        def counting(adapters):
+            stacks.append(len(adapters))
+            return real(adapters)
+
+        monkeypatch.setattr(fusion, "stack_adapters", counting)
+        first = plat.route("beta", "q", "c")  # the load stacks the members
+        assert stacks == [2]
+        assert all(plat.route("beta", "q", "c") == first for _ in range(10))
+        assert stacks == [2]
+
     def test_fusion_tenant_adapter_bin_still_hash_checked(self, tmp_path, kbs):
         plat = Platform(tmp_path, SMALL)
         plat.register_tenant("alpha", kbs[0], "adapter", quick_config())

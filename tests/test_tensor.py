@@ -130,6 +130,14 @@ class TestBackward:
         with pytest.raises(UsageError):
             backward(a)
 
+    def test_interior_gradients_are_dropped_after_use(self):
+        a = Tensor(np.full((2, 2), 0.5), requires_grad=True)
+        h = T.tanh(a)
+        loss = T.tsum(T.mul(h, h))
+        backward(loss)
+        assert h.grad is None and loss.grad is None
+        assert np.allclose(a.grad, 2 * h.data * (1 - h.data ** 2))
+
     def test_grad_accumulates_across_uses(self):
         a = Tensor(np.array([[2.0]]), requires_grad=True)
         backward(a + a)

@@ -1,5 +1,7 @@
 """Training loop mechanics and the two-stage procedure on tiny problems."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -112,7 +114,7 @@ class TestStage2:
         assert all("distill_loss" in row for row in history)
         assert history[0]["distill_loss"] > 0.0
 
-    def test_one_backbone_forward_per_example(self, backbone, tiny_data, monkeypatch):
+    def test_one_backbone_forward_per_minibatch(self, backbone, tiny_data, monkeypatch):
         adapter, head = self._first_stage(backbone, tiny_data)
         teachers = make_teacher_set([], adapter)
         calls = []
@@ -126,7 +128,7 @@ class TestStage2:
         train = tiny_data.split_of("train")
         cfg = tiny_config(epochs=2)
         train_stage2(train, backbone, adapter, teachers, cfg, eta=1.0, head=head)
-        assert len(calls) == cfg.epochs * len(train)
+        assert len(calls) == cfg.epochs * math.ceil(len(train) / cfg.batch_size)
 
     def test_trains_through_combined_loss(self, backbone, tiny_data, monkeypatch):
         adapter, head = self._first_stage(backbone, tiny_data)
@@ -261,6 +263,25 @@ class TestEvaluate:
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
             evaluate_predictions([], [])
+
+    @pytest.mark.parametrize("mode", ["adapter", "adapter_fusion"])
+    def test_predict_many_equals_one_pair_predictions(self, backbone, tiny_data,
+                                                      monkeypatch, mode):
+        from adapterdistill.backbone import real_length
+        from adapterdistill.faq_data import Example
+        art = train_baseline(mode, tiny_data.split_of("train"), backbone,
+                             tiny_config(mode=mode))
+        rng = np.random.default_rng(4)
+        examples = [Example(f"e{i}", " ".join(f"q{w}" for w in rng.integers(0, 50, n)),
+                            "how c1 c2", i % 2)
+                    for i, n in enumerate(rng.integers(1, 9, size=40))]
+        encoded = trainer.encode_examples(examples, backbone.config)
+        assert len({real_length(mask) for _, mask, _ in encoded}) > 3  # ragged chunks
+        monkeypatch.setattr(trainer, "EVAL_BATCH", 16)  # several chunks, one short
+        batched = predict_many(backbone, art, examples)
+        single = [trainer.predict_prob(backbone, art, ids, mask) for ids, mask, _ in encoded]
+        assert len(batched) == len(examples)
+        assert np.abs(np.array(batched) - np.array(single)).max() <= 1e-12
 
     def test_predict_many_matches_artifact_evaluation(self, backbone, tiny_data):
         art = train_baseline("adapter", tiny_data.split_of("train"), backbone,
